@@ -7,27 +7,24 @@ histograms of an entire program corpus.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
+
+import numpy as np
 
 
 def byte_histogram(data: bytes) -> list[int]:
     """Occurrence count of each byte value 0-255 in ``data``."""
-    histogram = [0] * 256
-    for value, count in Counter(data).items():
-        histogram[value] = count
-    return histogram
+    return np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256).tolist()
 
 
 def merge_histograms(histograms: Iterable[list[int]]) -> list[int]:
     """Element-wise sum of several byte histograms."""
-    merged = [0] * 256
+    merged = np.zeros(256, dtype=np.int64)
     for histogram in histograms:
         if len(histogram) != 256:
             raise ValueError(f"histogram must have 256 entries, got {len(histogram)}")
-        for index, count in enumerate(histogram):
-            merged[index] += count
-    return merged
+        merged += np.asarray(histogram, dtype=np.int64)
+    return merged.tolist()
 
 
 def corpus_histogram(programs: Iterable[bytes]) -> list[int]:

@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import CompressionError
 from repro.compression.block import DEFAULT_LINE_SIZE
-from repro.compression.histogram import byte_histogram, merge_histograms
 from repro.compression.huffman import HuffmanCode
 
 
@@ -81,31 +82,33 @@ class MultiCodeCompressor:
         """Encode ``line`` with whichever code stores fewest bytes."""
         if len(line) != self.line_size:
             raise CompressionError(f"line must be {self.line_size} bytes")
-        best: MultiCodeBlock | None = None
-        for index, code in enumerate(self.codes):
-            try:
-                bits = code.encoded_bit_length(line)
-            except CompressionError:
-                continue  # this code cannot express some byte in the line
-            stored = (bits + 7) // 8
-            if stored < self.line_size and (best is None or stored < best.stored_size):
-                encoded, bit_length = code.encode(line)
-                best = MultiCodeBlock(code_index=index, data=encoded, bit_length=bit_length)
-        if best is None:
-            return MultiCodeBlock(
-                code_index=None, data=bytes(line), bit_length=8 * self.line_size
-            )
-        return best
+        return self.compress_program(line)[0]
 
     def compress_program(self, text: bytes) -> list[MultiCodeBlock]:
-        """Compress a text segment line by line (zero-padded tail)."""
-        remainder = len(text) % self.line_size
-        if remainder:
-            text = text + bytes(self.line_size - remainder)
-        return [
-            self.compress_line(text[offset : offset + self.line_size])
-            for offset in range(0, len(text), self.line_size)
-        ]
+        """Compress a text segment line by line (zero-padded tail).
+
+        A code is eligible for a line when it has a word for every byte and
+        stores the line in fewer than ``line_size`` bytes; the first cheapest
+        eligible code wins, and a line with none is stored as is.
+        """
+        lines = _line_matrix([text], self.line_size)
+        stored = np.empty((len(lines), len(self.codes)), dtype=np.int64)
+        for index, code in enumerate(self.codes):
+            gathered = np.array(code.lengths, dtype=np.int32)[lines]
+            stored[:, index] = np.where(gathered.all(1), (gathered.sum(1) + 7) // 8, self.line_size)
+        choice = np.where(stored.min(axis=1) < self.line_size, stored.argmin(axis=1), -1)
+        blocks = [MultiCodeBlock(None, line.tobytes(), 8 * self.line_size) for line in lines]
+        for index, code in enumerate(self.codes):
+            rows = np.flatnonzero(choice == index)
+            batch = code.encode_lines(lines[rows].tobytes(), self.line_size)
+            encoded = (
+                zip(batch[0], batch[1].tolist())
+                if batch is not None
+                else map(code.encode, map(bytes, lines[rows]))  # a code word over 64 bits
+            )
+            for row, (data, bit_length) in zip(rows.tolist(), encoded):
+                blocks[row] = MultiCodeBlock(index, data, bit_length)
+        return blocks
 
     def decompress_block(self, block: MultiCodeBlock) -> bytes:
         if block.code_index is None:
@@ -130,6 +133,12 @@ class MultiCodeCompressor:
         return usage
 
 
+def _line_matrix(texts: list[bytes], line_size: int) -> np.ndarray:
+    """Texts, each zero-padded to whole lines, as one ``lines × line_size`` matrix."""
+    padded = b"".join(text + bytes(-len(text) % line_size) for text in texts)
+    return np.frombuffer(padded, dtype=np.uint8).reshape(-1, line_size)
+
+
 def train_code_set(
     corpus: list[bytes],
     code_count: int = 2,
@@ -146,35 +155,29 @@ def train_code_set(
     """
     if code_count < 1:
         raise CompressionError("code_count must be at least 1")
-    lines: list[bytes] = []
-    for text in corpus:
-        remainder = len(text) % line_size
-        if remainder:
-            text = text + bytes(line_size - remainder)
-        lines.extend(text[offset : offset + line_size] for offset in range(0, len(text), line_size))
-    if not lines:
+    lines = _line_matrix(corpus, line_size)
+    if not len(lines):
         raise CompressionError("empty corpus")
 
-    def build(selected: list[bytes]) -> HuffmanCode:
-        histogram = merge_histograms([byte_histogram(line) for line in selected] or [byte_histogram(b"\0")])
+    def build(selected: np.ndarray) -> HuffmanCode:
+        histogram = np.bincount(selected.ravel(), minlength=256).tolist()
         return HuffmanCode.from_frequencies(histogram, max_length=max_length, cover_all_symbols=True)
+
+    def bits(codes: list[HuffmanCode]) -> np.ndarray:
+        """``lines × codes`` encoded bits: each code's lengths gathered by line and summed."""
+        return np.stack([np.array(c.lengths, dtype=np.int32)[lines].sum(axis=1) for c in codes], 1)
 
     codes = [build(lines)]
     while len(codes) < code_count:
-        # Seed the next code from the lines the current set handles worst.
-        worst = sorted(
-            lines,
-            key=lambda line: min(code.encoded_bit_length(line) for code in codes),
-            reverse=True,
-        )[: max(1, len(lines) // (len(codes) + 1))]
-        codes.append(build(worst))
+        # Seed the next code from the lines the current set handles worst;
+        # the stable sort keeps equally bad lines in corpus order.
+        worst = np.argsort(-bits(codes).min(axis=1), kind="stable")
+        codes.append(build(lines[worst[: max(1, len(lines) // (len(codes) + 1))]]))
     for _ in range(refinement_rounds):
-        assignments: list[list[bytes]] = [[] for _ in codes]
-        for line in lines:
-            best = min(range(len(codes)), key=lambda i: codes[i].encoded_bit_length(line))
-            assignments[best].append(line)
+        # argmin breaks ties toward the lowest code index.
+        assignment = bits(codes).argmin(axis=1)
         codes = [
-            build(assigned) if assigned else code
-            for code, assigned in zip(codes, assignments)
+            build(lines[assignment == index]) if (assignment == index).any() else code
+            for index, code in enumerate(codes)
         ]
     return codes

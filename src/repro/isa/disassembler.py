@@ -8,7 +8,7 @@ the library emits (branch/jump operands are rendered numerically).
 from __future__ import annotations
 
 from repro.isa.decoding import decode
-from repro.isa.instruction import Instruction
+from repro.isa.instruction import NOP, Instruction
 from repro.isa.registers import register_name
 
 
@@ -29,7 +29,7 @@ def disassemble(instruction: Instruction, address: int | None = None) -> str:
     gpr = register_name
     fpr = lambda n: register_name(n, fp=True)  # noqa: E731
 
-    if instruction.mnemonic == "sll" and instruction.rd == 0 and instruction.rt == 0:
+    if instruction == NOP:  # only the all-zero word; other shifts keep their operands
         return "nop"
 
     if signature == "":

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import AssemblerError
-from repro.isa import Assembler, Instruction, decode, disassemble
+from repro.isa import Assembler, Instruction, decode, disassemble, encode
 from repro.isa.assembler import DEFAULT_DATA_BASE
 from repro.isa.decoding import decode_program
 from repro.isa.disassembler import disassemble_program
@@ -339,3 +339,11 @@ class TestDisassembler:
     def test_fp_rendering(self):
         program = assemble("add.d $f4, $f2, $f0")
         assert disassemble(program.instructions[0]) == "add.d $f4, $f2, $f0"
+
+    @pytest.mark.parametrize("shamt", [0, 1, 31])
+    def test_zero_register_shift_round_trips(self, shamt):
+        # Only the all-zero word is ``nop``; a nonzero shift amount must survive.
+        word = encode(Instruction.make("sll", rd=0, rt=0, shamt=shamt))
+        rendered = disassemble(decode(word))
+        assert (rendered == "nop") == (shamt == 0)
+        assert assemble(rendered).text == word.to_bytes(4, "big")
