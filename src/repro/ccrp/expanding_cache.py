@@ -85,10 +85,12 @@ class ExpandingInstructionCache:
                 "memory_image override must match the image layout "
                 f"({expected_bytes} bytes, got {len(self._memory)})"
             )
-        # A pristine store can serve refills from the image's one batch
-        # decode; an overridden (possibly corrupted) store must decode
-        # whatever bytes the walk actually fetched.
-        self._use_batch = memory_image is None and not memsys_reference_mode()
+        # Refills may be served from the image's one batch decode, even
+        # under an overridden (possibly corrupted) store: decoding is a
+        # pure function of (code, stored bytes), and ``_refill`` takes the
+        # batch line only when the fetched bytes equal the block's
+        # pristine bytes.  Any other fetch is decoded scalar.
+        self._use_batch = not memsys_reference_mode()
         self._tags: list[int | None] = [None] * self.num_sets
         self._lines: list[bytes] = [b""] * self.num_sets
         self.hits = 0

@@ -16,19 +16,25 @@ for parity with the paper's measurements.
 from __future__ import annotations
 
 from repro.errors import CompressionError
-from repro.compression.bitstream import BitReader, BitWriter
+from repro.compression.bitstream import BitWriter
 
 #: ``compress`` magic number plus the max-bits flag byte.
 HEADER_BYTES = 3
 
 MIN_BITS = 9
 DEFAULT_MAX_BITS = 16
+MAX_BITS = 24
+
+
+def _check_max_bits(max_bits: int) -> None:
+    # 24 bits is also the widest code the decoder's 32-bit window holds.
+    if not MIN_BITS <= max_bits <= MAX_BITS:
+        raise CompressionError(f"max_bits {max_bits} out of supported range")
 
 
 def lzw_compress(data: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
     """Compress ``data`` with compress-style variable-width LZW."""
-    if not MIN_BITS <= max_bits <= 24:
-        raise CompressionError(f"max_bits {max_bits} out of supported range")
+    _check_max_bits(max_bits)
     if not data:
         return bytes(HEADER_BYTES)
 
@@ -56,7 +62,14 @@ def lzw_compress(data: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
 
 
 def lzw_decompress(blob: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
-    """Invert :func:`lzw_compress`."""
+    """Invert :func:`lzw_compress`.
+
+    Codes are read MSB first from an integer bit position over the payload
+    padded with four zero bytes: a code of up to 24 bits starting at bit
+    offset 0-7 of a byte always lies inside the 32-bit big-endian window
+    beginning at that byte, so one slice and one shift extract it.
+    """
+    _check_max_bits(max_bits)
     payload = blob[HEADER_BYTES:]
     if not payload:
         return b""
@@ -65,23 +78,34 @@ def lzw_decompress(blob: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
     next_code = 256
     width = MIN_BITS
     limit = 1 << max_bits
-    reader = BitReader(payload)
+    padded = payload + bytes(4)
+    total_bits = len(payload) * 8
+    if total_bits < width:
+        raise CompressionError("bit stream exhausted")
 
-    previous = table[reader.read(width)]
+    code = int.from_bytes(padded[:4], "big") >> (32 - width)
+    position = width
+    if code not in table:
+        raise CompressionError(f"corrupt LZW stream: code {code}")
+    previous = table[code]
     output = bytearray(previous)
     # Mirror the encoder: a new table entry is created per emitted code, and
     # the width grows when the *encoder's* next_code passes the width limit.
-    while reader.remaining >= width:
+    while total_bits - position >= width:
         if next_code < limit:
             pending = next_code
             next_code += 1
             if next_code > (1 << width) and width < max_bits:
                 width += 1
-                if reader.remaining < width:
+                if total_bits - position < width:
                     break
         else:
             pending = None
-        code = reader.read(width)
+        start = position >> 3
+        code = (
+            int.from_bytes(padded[start : start + 4], "big") >> (32 - width - (position & 7))
+        ) & ((1 << width) - 1)
+        position += width
         if code in table:
             entry = table[code]
         elif code == pending:

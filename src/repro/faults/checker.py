@@ -21,9 +21,10 @@ bytes differ from the golden program or were never produced at all
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from repro.compression.block import DEFAULT_LINE_SIZE, BlockCompressor
+from repro.compression.block import DEFAULT_LINE_SIZE, BlockCompressor, CompressedBlock
 from repro.compression.huffman import HuffmanCode
 from repro.compression.lzw import HEADER_BYTES, lzw_compress, lzw_decompress
 from repro.errors import IntegrityError, ReproError
@@ -94,6 +95,27 @@ def diff_lines(golden: bytes, decoded: bytes, line_size: int = DEFAULT_LINE_SIZE
     return tuple(corrupted)
 
 
+# The pristine store a trial corrupts is a pure function of its inputs, so
+# it is built once per program and shared.  Only immutable values are
+# cached: every trial injects into, re-slices and decodes its own copy.
+
+
+@functools.lru_cache(maxsize=8)
+def _lzw_store(golden: bytes) -> bytes:
+    """The whole-file ``compress`` blob of ``golden``."""
+    return lzw_compress(golden)
+
+
+@functools.lru_cache(maxsize=32)
+def _block_store(
+    code: HuffmanCode, golden: bytes, line_size: int, alignment: int
+) -> tuple[tuple[CompressedBlock, ...], bytes, bytes]:
+    """``(blocks, per-line CRCs, concatenated stored bytes)`` of ``golden``."""
+    compressor = BlockCompressor(code, line_size=line_size, alignment=alignment)
+    blocks = tuple(compressor.compress_program(golden))
+    return blocks, line_crcs(blocks), b"".join(block.data for block in blocks)
+
+
 def blast_block_codec(
     code: HuffmanCode,
     text: bytes,
@@ -110,12 +132,8 @@ def blast_block_codec(
     the refill engine's contract — and diffed against the golden program.
     Detection is the per-line CRC of :mod:`repro.faults.integrity`.
     """
-    compressor = BlockCompressor(code, line_size=line_size, alignment=alignment)
     golden = pad_to_lines(text, line_size)
-    blocks = compressor.compress_program(golden)
-    golden_crcs = line_crcs(blocks)
-
-    stored = b"".join(block.data for block in blocks)
+    blocks, golden_crcs, stored = _block_store(code, golden, line_size, alignment)
     corrupted_store, record = injector.inject(stored, model)
 
     # Re-slice the corrupted store at the *original* block boundaries —
@@ -204,7 +222,7 @@ def blast_lzw(
     ``compress`` offers.
     """
     golden = pad_to_lines(text, line_size)
-    blob = lzw_compress(golden)
+    blob = _lzw_store(golden)
     payload, record = injector.inject(blob[HEADER_BYTES:], model)
     record = FaultRecord(
         model=record.model,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CompressionError
+from repro.compression.bitstream import BitReader
 from repro.compression.block import (
     BYTE_ALIGNED,
     WORD_ALIGNED,
@@ -16,7 +17,9 @@ from repro.compression.block import (
 from repro.compression.histogram import byte_histogram
 from repro.compression.huffman import HuffmanCode
 from repro.compression.lzw import (
+    DEFAULT_MAX_BITS,
     HEADER_BYTES,
+    MIN_BITS,
     lzw_compress,
     lzw_decompress,
 )
@@ -69,6 +72,155 @@ class TestLZW:
     @given(st.binary(min_size=0, max_size=2000))
     def test_property_round_trip(self, data):
         assert lzw_decompress(lzw_compress(data)) == data
+
+
+def _reference_lzw_decompress(blob: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
+    """The bit-serial decoder ``lzw_decompress`` replaced: the oracle.
+
+    Every code goes through :class:`BitReader` one bit at a time.  The
+    only change from the original is the typed error for a first code
+    outside the initial dictionary.
+    """
+    payload = blob[HEADER_BYTES:]
+    if not payload:
+        return b""
+
+    table: dict[int, bytes] = {value: bytes([value]) for value in range(256)}
+    next_code = 256
+    width = MIN_BITS
+    limit = 1 << max_bits
+    reader = BitReader(payload)
+
+    code = reader.read(width)
+    if code not in table:
+        raise CompressionError(f"corrupt LZW stream: code {code}")
+    previous = table[code]
+    output = bytearray(previous)
+    while reader.remaining >= width:
+        if next_code < limit:
+            pending = next_code
+            next_code += 1
+            if next_code > (1 << width) and width < max_bits:
+                width += 1
+                if reader.remaining < width:
+                    break
+        else:
+            pending = None
+        code = reader.read(width)
+        if code in table:
+            entry = table[code]
+        elif code == pending:
+            entry = previous + previous[:1]
+        else:
+            raise CompressionError(f"corrupt LZW stream: code {code}")
+        if pending is not None:
+            table[pending] = previous + entry[:1]
+        output.extend(entry)
+        previous = entry
+    return bytes(output)
+
+
+def _outcome(decode, blob: bytes, max_bits: int):
+    """Output bytes, or the exception's type and message."""
+    try:
+        return decode(blob, max_bits)
+    except Exception as error:  # noqa: BLE001 - the type is what is compared
+        return type(error), str(error)
+
+
+def _assert_same_decode(blob: bytes, max_bits: int = DEFAULT_MAX_BITS) -> None:
+    assert _outcome(lzw_decompress, blob, max_bits) == _outcome(
+        _reference_lzw_decompress, blob, max_bits
+    )
+
+
+def _break_payload_bits(max_bits: int) -> int | None:
+    """Payload length that ends exactly where the code width grows.
+
+    Walks the decoder's width schedule: before the code that would be
+    read at width ``w + 1``, the decoder has read the first code plus
+    every loop code so far.  A payload whose bits run out with exactly
+    ``w`` left at that point takes the ``break`` branch.  Returns the
+    first such length that is a whole number of bytes, if any.
+    """
+    consumed = MIN_BITS  # the first code
+    for width in range(MIN_BITS, max_bits):
+        # Loop codes read at ``width``: every pending code that does not
+        # yet push next_code past 1 << width.
+        first_pending = 256 if width == MIN_BITS else 1 << (width - 1)
+        consumed += ((1 << width) - first_pending) * width
+        if (consumed + width) % 8 == 0:
+            return consumed + width
+    return None
+
+
+class TestLZWFastDecodeMatchesBitSerial:
+    """``lzw_decompress``'s byte-window reader against the bit-serial oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=3000), st.integers(min_value=9, max_value=16))
+    def test_random_data_any_max_bits(self, data, max_bits):
+        blob = lzw_compress(data, max_bits=max_bits)
+        _assert_same_decode(blob, max_bits)
+        assert lzw_decompress(blob, max_bits) == data
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(600, 3000))
+    def test_streams_that_fill_the_dictionary(self, seed, size):
+        data = random.Random(seed).randbytes(size)
+        blob = lzw_compress(data, max_bits=9)
+        # More codes than the 256 a 9-bit dictionary can add: it froze.
+        assert (len(blob) - HEADER_BYTES) * 8 // 9 > 257
+        _assert_same_decode(blob, 9)
+        assert lzw_decompress(blob, max_bits=9) == data
+
+    def test_stream_ending_where_the_width_grows(self):
+        bits = _break_payload_bits(DEFAULT_MAX_BITS)
+        assert bits is not None
+        # Code 0 is always a valid literal, so an all-zero payload walks
+        # the full width schedule and stops at the break.
+        blob = bytes(HEADER_BYTES) + bytes(bits // 8)
+        decoded = lzw_decompress(blob)
+        assert decoded == _reference_lzw_decompress(blob)
+        # One output byte per code: the first code plus one per pending
+        # code 256 .. 2**15 - 1.  Reading past the break would add one.
+        assert decoded == bytes(1 + (1 << (DEFAULT_MAX_BITS - 1)) - 256)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.binary(min_size=1, max_size=1500), st.integers(min_value=0), st.integers(9, 16))
+    def test_bit_flipped_streams(self, data, where, max_bits):
+        blob = bytearray(lzw_compress(data, max_bits=max_bits))
+        bit = where % ((len(blob) - HEADER_BYTES) * 8)
+        blob[HEADER_BYTES + bit // 8] ^= 0x80 >> (bit % 8)
+        _assert_same_decode(bytes(blob), max_bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(min_size=1, max_size=1500), st.integers(min_value=0), st.integers(9, 16))
+    def test_truncated_streams(self, data, where, max_bits):
+        blob = lzw_compress(data, max_bits=max_bits)
+        _assert_same_decode(blob[: where % (len(blob) + 1)], max_bits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=600), st.integers(9, 16))
+    def test_random_payloads(self, payload, max_bits):
+        _assert_same_decode(bytes(HEADER_BYTES) + payload, max_bits)
+
+    def test_payloads_shorter_than_one_code(self):
+        for payload in [b""] + [bytes([value]) for value in range(256)]:
+            _assert_same_decode(bytes(HEADER_BYTES) + payload)
+        with pytest.raises(CompressionError, match="bit stream exhausted"):
+            lzw_decompress(bytes(HEADER_BYTES) + b"\x00")
+
+    def test_corrupt_first_code_is_a_typed_error(self):
+        blob = bytearray(lzw_compress(b"hello world" * 10))
+        blob[HEADER_BYTES] ^= 0x80  # first code 104 ('h') becomes 360
+        with pytest.raises(CompressionError, match="corrupt LZW stream: code 360"):
+            lzw_decompress(bytes(blob))
+        _assert_same_decode(bytes(blob))
+
+    def test_max_bits_validation(self):
+        with pytest.raises(CompressionError):
+            lzw_decompress(lzw_compress(b"abc"), max_bits=25)
 
 
 def _code_for(data: bytes, max_length: int = 16) -> HuffmanCode:

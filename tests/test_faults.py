@@ -13,6 +13,7 @@ from repro.compression.huffman import HuffmanCode
 from repro.core.metrics import METRICS
 from repro.core.standard import standard_code
 from repro.core.sweep import FailureReport, sweep, sweep_many
+from repro.compression.lzw import HEADER_BYTES, lzw_compress
 from repro.errors import ConfigurationError, IntegrityError, ReproError
 from repro.faults import (
     FAULT_MODELS,
@@ -28,6 +29,8 @@ from repro.faults import (
     validate_fault_model,
     validate_integrity_policy,
 )
+from repro.faults.checker import _block_store, _lzw_store, pad_to_lines
+from repro.faults.injector import FaultRecord
 
 PROGRAM = bytes(range(256)) * 8  # 2 KiB, 64 lines, every byte value
 
@@ -308,6 +311,151 @@ class TestBlastRadius:
         golden = bytes(96)
         truncated = bytes(40)  # covers line 0, part of line 1
         assert diff_lines(golden, truncated) == (1, 2)
+
+
+class _FlipPayloadBit:
+    """A stub injector that flips one chosen bit of the region it gets."""
+
+    def __init__(self, offset: int, bit: int) -> None:
+        self.offset, self.bit = offset, bit
+
+    def inject(self, data, model, target="code"):
+        record = FaultRecord(model, target, self.offset, 1, self.bit, (1 << self.bit,))
+        return record.apply(data), record
+
+
+class TestLZWFirstCodeFault:
+    def test_corrupt_first_code_is_detected_not_a_crash(self):
+        text = b"hello world" * 10
+        # Bit 7 of payload byte 0 is the top bit of the first 9-bit code:
+        # 'h' (104) becomes 360, which is not in the initial dictionary.
+        assert lzw_compress(text)[HEADER_BYTES] & 0x80 == 0
+        report = blast_lzw(text, _FlipPayloadBit(0, 7), "bit_flip")
+        assert report.detected
+        assert report.decode_error == "corrupt LZW stream: code 360"
+        assert report.record.offset == HEADER_BYTES
+        assert report.blast_radius == report.line_count
+
+
+class TestPristineStoreReuse:
+    """Trials share one pristine store per program, never its corruption."""
+
+    def _reports(self, blast, *args):
+        injector = FaultInjector(31)
+        return [blast(*args, injector, model) for model in FAULT_MODELS for _ in range(4)]
+
+    def test_block_codec_reports_repeat(self):
+        for name, code in _codes().items():
+            first = self._reports(blast_block_codec, code, PROGRAM)
+            assert self._reports(blast_block_codec, code, PROGRAM) == first, name
+
+    def test_lzw_reports_repeat(self):
+        first = self._reports(blast_lzw, PROGRAM)
+        assert self._reports(blast_lzw, PROGRAM) == first
+
+    def test_cached_store_parts_are_immutable(self):
+        golden = pad_to_lines(PROGRAM)
+        blocks, crcs, stored = _block_store(standard_code(), golden, DEFAULT_LINE_SIZE, 1)
+        assert type(blocks) is tuple and type(crcs) is bytes and type(stored) is bytes
+        assert crcs == line_crcs(blocks)
+        assert stored == b"".join(block.data for block in blocks)
+        assert type(_lzw_store(golden)) is bytes
+
+    def test_store_built_once_and_every_block_decoded_per_trial(self, monkeypatch):
+        code = standard_code()
+        golden = pad_to_lines(PROGRAM)
+        blocks, _, _ = _block_store(code, golden, DEFAULT_LINE_SIZE, 1)
+        compressed = sum(block.is_compressed for block in blocks)
+        batch_sizes = []
+        original = HuffmanCode.decode_lines
+
+        def counting(self, blobs, *args, **kwargs):
+            blobs = list(blobs)
+            batch_sizes.append(len(blobs))
+            return original(self, blobs, *args, **kwargs)
+
+        monkeypatch.setattr(HuffmanCode, "decode_lines", counting)
+        hits = _block_store.cache_info().hits
+        injector = FaultInjector(5)
+        for _ in range(3):
+            blast_block_codec(code, PROGRAM, injector, "bit_flip")
+        assert _block_store.cache_info().hits == hits + 3
+        assert batch_sizes == [compressed] * 3
+
+
+def _refill_walk(image, policy, memory):
+    """Every line through a fresh cache: line bytes or error, and events."""
+    cache = ExpandingInstructionCache(image, integrity=policy, memory_image=memory)
+    lines = []
+    for line in range(image.line_count):
+        try:
+            lines.append(cache.read_line(image.text_base + line * image.line_size))
+        except ReproError as error:
+            lines.append((type(error).__name__, str(error)))
+            if isinstance(error, IntegrityError):
+                break
+    return lines, cache.integrity_events
+
+
+class TestBatchRefillUnderOverride:
+    """A corrupted ``memory_image`` still refills healthy lines from the batch.
+
+    The batch line is used only when the fetched bytes equal the block's
+    pristine bytes, so the walk must match the scalar reference mode line
+    for line, and only corrupt or displaced fetches reach ``decode_fast``.
+    """
+
+    PROGRAM = (bytes(range(0, 64, 2)) + bytes(32)) * 32  # compresses well
+
+    def _cases(self):
+        image = ProgramCompressor(standard_code(), integrity=True).compress(self.PROGRAM)
+        memory = image.memory_image()
+        lat_bytes = image.lat.storage_bytes
+        for seed in range(8):
+            code_region, _ = FaultInjector(seed).inject(memory[lat_bytes:], "bit_flip", "code")
+            yield image, memory[:lat_bytes] + code_region
+            lat_region, _ = FaultInjector(seed).inject(memory[:lat_bytes], "bit_flip", "lat")
+            yield image, lat_region + memory[lat_bytes:]
+
+    @pytest.mark.parametrize("policy", ["detect", "strict"])
+    def test_matches_reference_mode(self, policy, monkeypatch):
+        outcomes = set()
+        for image, memory in self._cases():
+            fast = _refill_walk(image, policy, memory)
+            with monkeypatch.context() as patch:
+                patch.setenv("CCRP_MEMSYS_REFERENCE", "1")
+                reference = _refill_walk(image, policy, memory)
+            assert fast == reference
+            outcomes.update(type(item) for item in fast[0])
+            assert fast[1], "every case corrupts a fetched block"
+        # The cases exercise both served lines and refused ones.
+        assert outcomes == {bytes, tuple}
+
+    def test_decode_fast_only_for_changed_fetches(self, monkeypatch):
+        calls = []
+        current = [None]
+        original = HuffmanCode.decode_fast
+
+        def recording(self, blob, symbol_count):
+            calls.append((current[0], blob))
+            return original(self, blob, symbol_count)
+
+        monkeypatch.setattr(HuffmanCode, "decode_fast", recording)
+        total_calls = 0
+        for image, memory in self._cases():
+            cache = ExpandingInstructionCache(image, integrity="detect", memory_image=memory)
+            for line in range(image.line_count):
+                current[0] = line
+                try:
+                    cache.read_line(image.text_base + line * image.line_size)
+                except ReproError:
+                    pass
+            for line, blob in calls:
+                assert blob != image.blocks[image.line_index(line)].data, line
+            assert len(calls) <= len(cache.integrity_events)
+            total_calls += len(calls)
+            calls.clear()
+        assert total_calls > 0
 
 
 class TestCorruptedDecodeFuzz:

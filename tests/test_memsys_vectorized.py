@@ -432,16 +432,22 @@ class TestExpandingCacheBatchPath:
         text = sample_text(lines=48, seed=4)
         return ProgramCompressor(make_code(text)).compress(text, text_base=0)
 
-    def test_batch_and_scalar_paths_fetch_identical_lines(self, image):
+    def test_batch_and_scalar_paths_fetch_identical_lines(self, image, monkeypatch):
         batch = ExpandingInstructionCache(image, cache_bytes=256)
-        # Passing the serialised image explicitly disables the batch path.
-        scalar = ExpandingInstructionCache(
+        # An explicit (here pristine) store keeps the batch path: it is
+        # used only for fetches equal to the block's stored bytes.
+        overridden = ExpandingInstructionCache(
             image, cache_bytes=256, memory_image=image.memory_image()
         )
-        assert batch._use_batch and not scalar._use_batch
+        # The reference mode decodes every fetched block scalar.
+        monkeypatch.setenv("CCRP_MEMSYS_REFERENCE", "1")
+        scalar = ExpandingInstructionCache(image, cache_bytes=256)
+        assert batch._use_batch and overridden._use_batch and not scalar._use_batch
         for line in range(image.line_count):
             address = line * image.line_size
-            assert batch.read_line(address) == scalar.read_line(address)
+            expected = scalar.read_line(address)
+            assert batch.read_line(address) == expected
+            assert overridden.read_line(address) == expected
 
     def test_reference_env_disables_batch_path(self, image, monkeypatch):
         monkeypatch.setenv("CCRP_MEMSYS_REFERENCE", "yes")
