@@ -19,7 +19,7 @@ Two fidelity levels are provided:
   holding its last encoded bit.  On slow memories this exposes a small
   end-of-line stall (the final word's symbols still have to shift through
   the decoder) that the paper's closed form ignores; the ablation
-  benchmark quantifies the difference.
+  experiment quantifies the difference.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ compared on it and on the original MIPS encoding:
 * each ISA with the *other* ISA's code (what happens if the hard-wired
   decoder does not match the architecture).
 
-The expected result, which the benchmark asserts: both ISAs compress to
-a similar band with their own code — the CCRP generalises — while
-cross-trained codes lose several points, confirming that the preselected
-code is an architecture-specific artifact.
+The expected result, which ``tests/test_cross_isa.py`` asserts: both
+ISAs compress to a similar band with their own code — the CCRP
+generalises — while cross-trained codes lose several points, confirming
+that the preselected code is an architecture-specific artifact.
 """
 
 from __future__ import annotations

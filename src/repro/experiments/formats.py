@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment output.
 
 The experiment modules return structured rows; these helpers turn them
-into the fixed-width tables printed by the CLI, benchmarks, and
+into the fixed-width tables printed by the CLI and quoted in
 EXPERIMENTS.md.
 """
 

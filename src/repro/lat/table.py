@@ -7,7 +7,7 @@ N, and how big is it?*
 
 The paper also discusses a naive alternative — a flat 4-byte pointer per
 line, costing 12.5 % instead of 3.125 % — reproduced here as
-:meth:`LineAddressTable.naive_overhead_bytes` for the ablation benchmark.
+:meth:`LineAddressTable.naive_overhead_bytes` for the ablation experiment.
 """
 
 from __future__ import annotations

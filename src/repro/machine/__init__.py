@@ -8,7 +8,7 @@ records the dynamic instruction-address trace, data-access counts, and a
 pixie-style pipeline-stall estimate.
 """
 
-from repro.machine.executor import Machine, ExecutionResult, default_block_mode
+from repro.machine.executor import Machine, ExecutionResult
 from repro.machine.memory import Memory, MEMORY_BYTES
 from repro.machine.profile import ProfileReport, profile
 from repro.machine.stalls import StallModel, R2000_STALLS
@@ -25,5 +25,4 @@ __all__ = [
     "profile",
     "R2000_STALLS",
     "StallModel",
-    "default_block_mode",
 ]

@@ -21,7 +21,6 @@ Architectural conventions:
 from __future__ import annotations
 
 import marshal
-import os
 import struct
 import sys
 from collections import OrderedDict
@@ -43,17 +42,8 @@ DEFAULT_MAX_INSTRUCTIONS = 4_000_000
 #: Initial stack pointer: top of the 24-bit space, word aligned.
 STACK_TOP = 0xFFFFF0
 
-#: Environment escape hatch: ``simple`` selects the per-instruction
-#: interpreter, anything else (default) the basic-block superop engine.
-ENV_EXECUTOR = "CCRP_EXECUTOR"
-
 _WORD_MASK = 0xFFFFFFFF
 _MEM_MASK = (1 << 24) - 1
-
-
-def default_block_mode() -> bool:
-    """Whether new machines use the superop engine (``CCRP_EXECUTOR``)."""
-    return os.environ.get(ENV_EXECUTOR, "").strip().lower() != "simple"
 
 
 #: Block kinds of the superop engine.
@@ -885,11 +875,11 @@ class Machine:
         self,
         program: AssembledProgram,
         stall_model: StallModel = R2000_STALLS,
-        block_mode: bool | None = None,
+        block_mode: bool = True,
     ) -> None:
         self.program = program
         self.stall_model = stall_model
-        self.block_mode = default_block_mode() if block_mode is None else block_mode
+        self.block_mode = block_mode
         self.memory = Memory()
         self.memory.load_segment(program.text_base, program.text)
         if program.data:
@@ -941,10 +931,10 @@ class Machine:
                 instead of raising :class:`~repro.errors.ExecutionError`.
 
         The basic-block superop engine (the default) and the
-        per-instruction interpreter (``block_mode=False`` or
-        ``CCRP_EXECUTOR=simple``) produce identical results — trace
-        bytes, registers, output, and stall cycles — property-tested
-        against each other across the workload suite.
+        per-instruction reference interpreter (``block_mode=False``)
+        produce identical results — trace bytes, registers, output, and
+        stall cycles — property-tested against each other across the
+        workload suite.
         """
         if self.block_mode:
             return self._run_blocks(max_instructions, stop_at_limit)

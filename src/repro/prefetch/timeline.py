@@ -16,8 +16,8 @@ events:
 3. the per-miss state machine (:class:`~repro.prefetch.engine.PrefetchCore`)
    is the *same object* both backends run, so agreement with the exact
    replay reduces to the equivalence of the two clock constructions —
-   which the property tests and ``benchmarks/bench_frontend.py --check``
-   pin byte-for-byte.
+   which the property tests and the real-workload test in
+   ``tests/test_prefetch.py`` pin byte-for-byte.
 
 Typical miss streams are thousands of events against millions of
 accesses, so the remaining Python loop is ~10³ shorter than the exact
@@ -45,7 +45,7 @@ class FetchReplay:
 
     Instances from the exact unit and the vectorized timeline compare
     equal field-for-field when the backends agree — the byte-identity
-    check the tests, bench gate, and prefetch study all run.
+    check the tests and the prefetch study both run.
 
     Attributes:
         policy: Fetch policy that produced the numbers.

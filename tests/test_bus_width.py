@@ -89,29 +89,36 @@ class TestDecoderOnWideBuses:
 
 
 class TestBusWidthExperiment:
+    PROGRAMS = ("espresso", "fpppp")
+
     @pytest.fixture(scope="class")
     def result(self):
         from repro.experiments.bus_width import run_bus_width
 
-        return run_bus_width(programs=("espresso",))
+        return run_bus_width(programs=self.PROGRAMS)
 
     def test_wider_bus_hurts_fixed_decoder(self, result):
         """The paper's warning: a 2 B/cycle decoder falls behind as the
         bus widens."""
-        by_bus = [result.row_for("espresso", bus).relative_performance[2] for bus in (4, 8, 16)]
-        assert by_bus == sorted(by_bus)
-        assert by_bus[-1] > by_bus[0]
+        for program in self.PROGRAMS:
+            by_bus = [
+                result.row_for(program, bus).relative_performance[2] for bus in (4, 8, 16)
+            ]
+            assert by_bus == sorted(by_bus)
+            assert by_bus[-1] > by_bus[0]
 
     def test_faster_decoder_recovers(self, result):
-        for bus in (4, 8, 16):
-            row = result.row_for("espresso", bus).relative_performance
-            assert row[8] < row[4] < row[2]
+        for program in self.PROGRAMS:
+            for bus in (4, 8, 16):
+                row = result.row_for(program, bus).relative_performance
+                assert row[8] < row[4] < row[2]
 
     def test_baseline_refill_shrinks_with_bus(self, result):
-        refills = [
-            result.row_for("espresso", bus).baseline_refill_cycles for bus in (4, 8, 16)
-        ]
-        assert refills == sorted(refills, reverse=True)
+        for program in self.PROGRAMS:
+            refills = [
+                result.row_for(program, bus).baseline_refill_cycles for bus in (4, 8, 16)
+            ]
+            assert refills == sorted(refills, reverse=True)
 
     def test_render(self, result):
         assert "Bus-width sensitivity" in result.render()

@@ -107,6 +107,7 @@ class TestTraceSimulation:
         from repro.workloads import load
 
         trace = load("espresso").run().trace.addresses
-        direct = simulate_trace(trace, 1024).miss_rate
-        two_way = simulate_trace_associative(trace, 1024, ways=2).miss_rate
-        assert two_way < direct
+        for cache_bytes in (1024, 4096):
+            direct = simulate_trace(trace, cache_bytes).miss_rate
+            two_way = simulate_trace_associative(trace, cache_bytes, ways=2).miss_rate
+            assert two_way < direct, cache_bytes

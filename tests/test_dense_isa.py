@@ -116,4 +116,8 @@ class TestExperiment:
         assert len(result.rows) == 2
         for row in result.rows:
             assert 0.5 < row.dense_ratio < 1.0
+            assert 0.1 < row.dense_fraction < 0.8
+        # Both strategies land in the same density band.
+        assert 0.7 < result.weighted_dense < 0.95
+        assert 0.65 < result.weighted_ccrp < 0.85
         assert "Dense ISA" in result.render()

@@ -85,7 +85,7 @@ class TestFigure5:
     def test_preselected_nearly_as_good_as_bounded(self, figure5):
         """The paper's key claim: one fixed code is almost as effective."""
         weighted = figure5.weighted
-        assert weighted.preselected_huffman - weighted.bounded_huffman < 0.03
+        assert abs(weighted.preselected_huffman - weighted.bounded_huffman) < 0.03
 
     def test_huffman_family_in_paper_ballpark(self, figure5):
         """Preselected weighted average ~70-80% of original size."""
@@ -104,12 +104,13 @@ class TestTables1To8:
     def test_eprom_ccrp_wins_at_small_caches(self, tables1_8):
         """Paper: 'given a slow memory model like the EPROM model,
         performance almost always is improved by using compressed code.'"""
-        for program in ("nasa7", "espresso", "eightq"):
-            table = tables1_8.table_for(program)
+        for table in tables1_8.tables:
             row = next(
                 r for r in table.rows if r.memory == "eprom" and r.cache_bytes == 256
             )
-            assert row.relative_performance < 1.0
+            assert row.relative_performance < 1.02
+            if table.program in ("nasa7", "espresso", "eightq"):
+                assert row.relative_performance < 1.0
 
     def test_burst_eprom_ccrp_loses_moderately(self, tables1_8):
         """Faster memory: execution time increases, espresso worst."""
@@ -117,6 +118,11 @@ class TestTables1To8:
         for row in espresso.rows:
             if row.memory == "burst_eprom":
                 assert 1.0 < row.relative_performance < 1.6
+        # No free lunch on fast memory for any program.
+        for table in tables1_8.tables:
+            for row in table.rows:
+                if row.memory == "burst_eprom":
+                    assert row.relative_performance >= 0.999
 
     def test_espresso_suffers_most_on_fast_memory(self, tables1_8):
         def worst(program):
@@ -214,6 +220,8 @@ class TestFigure9:
     def test_point_cloud_covers_all_models(self, figure9):
         for memory in ("eprom", "burst_eprom", "sc_dram"):
             assert len(figure9.points_for(memory)) >= 10
+        # Every (program, cache size, memory) cell of the grid is plotted.
+        assert len(figure9.points) == 5 * 4 * 3
 
     def test_eprom_trend_improves_with_miss_rate(self, figure9):
         """Slow memory: higher miss rate -> CCRP wins more (slope < 0)."""

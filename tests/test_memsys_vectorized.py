@@ -405,15 +405,44 @@ class TestStudyWiring:
 
         return get_study("eightq", max_instructions=1_000_000)
 
-    def test_clb_miss_counts_pin_to_stateful_clb(self, study):
+    @pytest.fixture(scope="class")
+    def studies(self, study):
+        from repro.core.artifacts import get_study
+
+        return (study, get_study("lloop01"))
+
+    def test_clb_miss_counts_pin_to_stateful_clb(self, studies):
+        from repro.core.sweep import DEFAULT_CACHE_SIZES
         from repro.lat.entry import LINES_PER_ENTRY
 
-        stream = study.cache_stats(512).miss_lines // LINES_PER_ENTRY
-        counts = study.clb_miss_counts(512)
-        for entries in (1, 2, 4, 8, 16):
-            expected = CLB(entries=entries).simulate(stream)
-            assert counts[min(entries, max(counts))] == expected
-            assert study.clb_miss_count(512, entries) == expected
+        for study in studies:
+            for cache_bytes in DEFAULT_CACHE_SIZES:
+                stream = study.cache_stats(cache_bytes).miss_lines // LINES_PER_ENTRY
+                counts = study.clb_miss_counts(cache_bytes)
+                for entries in (1, 2, 4, 8, 16):
+                    expected = CLB(entries=entries).simulate(stream)
+                    assert counts[min(entries, max(counts))] == expected
+                    assert study.clb_miss_count(cache_bytes, entries) == expected
+
+    def test_refill_tables_and_line_decode_match_reference(self, studies):
+        """The grid's refill tables and batch decode on real program images."""
+        decoder = DecoderModel()
+        for study in studies:
+            image = study.image
+            for memory in (EPROM, BURST_EPROM, SC_DRAM):
+                reference = RefillEngine(image, memory, decoder, vectorized=False)
+                vectorized = RefillEngine(image, memory, decoder, vectorized=True)
+                assert np.array_equal(
+                    reference.ccrp_refill_cycles, vectorized.ccrp_refill_cycles
+                )
+                assert np.array_equal(
+                    reference.fetched_bytes_per_line, vectorized.fetched_bytes_per_line
+                )
+            blobs = [block.data for block in image.blocks if block.is_compressed]
+            assert blobs
+            assert image.code.decode_lines(blobs, image.line_size) == [
+                image.code.decode_fast(blob, image.line_size) for blob in blobs
+            ]
 
     def test_reference_env_matches_vectorized_metrics(self, study, monkeypatch):
         from repro.core.config import SystemConfig

@@ -268,13 +268,14 @@ def test_real_workload_exact_bounds_timeline():
     """The bound holds on a real multi-block execution, not just fuzz."""
     from repro.workloads.suite import load
 
-    workload = load("eightq")
-    trace = workload.run().trace
-    indices = trace.instruction_indices[:50_000]
-    exact = simulate_pipeline(workload.program.instructions, indices)
-    timeline = replay_trace(indices, workload.program.instructions)
-    assert exact.branch_stall_cycles == timeline.branch_stall_cycles
-    assert exact.hazard_stall_cycles >= timeline.hazard_stall_cycles
+    for name in ("eightq", "lloop01"):
+        workload = load(name)
+        trace = workload.run().trace
+        indices = trace.instruction_indices[:50_000]
+        exact = simulate_pipeline(workload.program.instructions, indices)
+        timeline = replay_trace(indices, workload.program.instructions)
+        assert exact.branch_stall_cycles == timeline.branch_stall_cycles, name
+        assert exact.hazard_stall_cycles >= timeline.hazard_stall_cycles, name
 
 
 def test_redirect_into_current_block_matches_exact():

@@ -211,32 +211,33 @@ def test_real_workload_ccrp_equivalence():
     real trace prefix, for every policy."""
     from repro.core.artifacts import get_study
 
-    study = get_study("eightq")
-    addresses = study.execution.trace.addresses[:30_000]
-    for policy in FETCH_POLICIES:
-        btb = study.btb() if policy == "btb" else None
+    for name, prefix, clb_entries in (("eightq", 30_000, 8), ("lloop01", 60_000, 16)):
+        study = get_study(name)
+        addresses = study.execution.trace.addresses[:prefix]
         engine = study.refill_engine("sc_dram", SystemConfig().decoder)
-        unit = PrefetchingFetchUnit(
-            256,
-            "sc_dram",
-            refill=engine,
-            clb=CLB(entries=8),
-            policy=policy,
-            btb=btb,
-        )
-        stalls = sum(unit.fetch(int(address)) for address in addresses)
-        exact = FetchReplay.from_unit(unit, stalls)
-        timeline = simulate_fetch_stream(
-            addresses,
-            256,
-            32,
-            "sc_dram",
-            refill=engine,
-            clb=CLB(entries=8),
-            policy=policy,
-            btb=btb,
-        )
-        assert exact == timeline, policy
+        for policy in FETCH_POLICIES:
+            btb = study.btb() if policy == "btb" else None
+            unit = PrefetchingFetchUnit(
+                256,
+                "sc_dram",
+                refill=engine,
+                clb=CLB(entries=clb_entries),
+                policy=policy,
+                btb=btb,
+            )
+            stalls = sum(unit.fetch(int(address)) for address in addresses)
+            exact = FetchReplay.from_unit(unit, stalls)
+            timeline = simulate_fetch_stream(
+                addresses,
+                256,
+                32,
+                "sc_dram",
+                refill=engine,
+                clb=CLB(entries=clb_entries),
+                policy=policy,
+                btb=btb,
+            )
+            assert exact == timeline, (name, policy)
 
 
 # ----------------------------------------------------------------------

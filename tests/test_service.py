@@ -18,6 +18,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -258,21 +259,45 @@ class TestLiveServerGolden:
             assert client.ping()
 
     def test_compress_matches_direct_library_call(self, live):
-        direct = ProgramCompressor(
-            standard_code(), alignment=1, integrity=True
-        ).compress(PROGRAM)
-        with live.client() as client:
-            meta, blob = client.compress(PROGRAM, alignment=1, integrity=True)
-        assert blob == b"".join(block.data for block in direct.blocks)
-        assert meta["block_sizes"] == [b.stored_size for b in direct.blocks]
-        assert meta["line_crcs"] == direct.line_crcs.hex()
-        assert meta["compression_ratio"] == pytest.approx(direct.compression_ratio)
+        for alignment, integrity in ((1, True), (1, False), (4, False)):
+            direct = ProgramCompressor(
+                standard_code(), alignment=alignment, integrity=integrity
+            ).compress(PROGRAM)
+            with live.client() as client:
+                meta, blob = client.compress(
+                    PROGRAM, alignment=alignment, integrity=integrity
+                )
+            assert blob == b"".join(block.data for block in direct.blocks)
+            assert meta["block_sizes"] == [b.stored_size for b in direct.blocks]
+            if integrity:
+                assert meta["line_crcs"] == direct.line_crcs.hex()
+            else:
+                assert "line_crcs" not in meta
+            assert meta["compression_ratio"] == pytest.approx(
+                direct.compression_ratio
+            )
 
     def test_decompress_round_trip_is_byte_identical(self, live):
         with live.client() as client:
             for alignment in (1, 4):
                 meta, blob = client.compress(PROGRAM, alignment=alignment)
                 assert client.decompress(meta, blob) == PROGRAM
+
+    def test_concurrent_round_trips_have_no_protocol_errors(self, live):
+        def round_trips(index):
+            with live.client(name=f"load{index}") as client:
+                meta, blob = client.compress(PROGRAM)
+                for _ in range(10):
+                    assert client.compress(PROGRAM) == (meta, blob)
+                    assert client.decompress(meta, blob) == PROGRAM
+
+        with live.client() as client:
+            before = client.stats()["counters"].get("service.protocol_errors", 0)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(round_trips, range(2)))
+        with live.client() as client:
+            after = client.stats()["counters"].get("service.protocol_errors", 0)
+        assert after == before
 
     def test_large_payload_round_trip(self, live):
         big = random.Random(13).randbytes(96 * 1024)  # > 64 KiB

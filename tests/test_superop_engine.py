@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import artifacts
 from repro.errors import ExecutionError
 from repro.isa import Assembler
-from repro.machine import BlockTrace, ExecutionTrace, Machine, default_block_mode
+from repro.machine import BlockTrace, ExecutionTrace, Machine
 from repro.workloads.codegen import FP_PERSONALITY, CodeGenerator
 from repro.workloads.suite import SIMULATION_PROGRAMS, load
 
@@ -52,9 +52,18 @@ def _assert_identical(reference, blocks) -> None:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", SIMULATION_PROGRAMS)
-def test_suite_workloads_equivalent(name):
-    reference, blocks = _run_both(load(name).program, max_instructions=120_000)
+@pytest.mark.parametrize(
+    ("name", "cap"),
+    [pytest.param(name, 120_000, id=name) for name in SIMULATION_PROGRAMS]
+    # ``None``: run to the exit syscall (464,842 instructions), not a cap.
+    + [pytest.param("lloop01", None, id="lloop01-complete")],
+)
+def test_suite_workloads_equivalent(name, cap):
+    reference, blocks = _run_both(
+        load(name).program,
+        max_instructions=cap or 1_000_000,
+        stop_at_limit=cap is not None,
+    )
     _assert_identical(reference, blocks)
 
 
@@ -75,26 +84,6 @@ def test_limit_without_stop_raises_in_both():
                 Machine(program, block_mode=block_mode).run(
                     max_instructions=1_000, stop_at_limit=False
                 )
-
-
-# ----------------------------------------------------------------------
-# Escape hatches
-# ----------------------------------------------------------------------
-
-
-def test_env_var_selects_engine(monkeypatch):
-    monkeypatch.setenv("CCRP_EXECUTOR", "simple")
-    assert default_block_mode() is False
-    assert Machine(load("lloop01").program).block_mode is False
-    monkeypatch.setenv("CCRP_EXECUTOR", "block")
-    assert default_block_mode() is True
-    monkeypatch.delenv("CCRP_EXECUTOR")
-    assert default_block_mode() is True
-
-
-def test_block_mode_argument_overrides_env(monkeypatch):
-    monkeypatch.setenv("CCRP_EXECUTOR", "simple")
-    assert Machine(load("lloop01").program, block_mode=True).block_mode is True
 
 
 def test_backings_differ_but_results_match():
