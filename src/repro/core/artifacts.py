@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import sys
 import tempfile
 import zlib
 from collections import OrderedDict
@@ -121,6 +122,25 @@ def code_fingerprint(code) -> str:
     hashing the length vector identifies the code.
     """
     return fingerprint_bytes(bytes(code.lengths))
+
+
+def source_digest(*packages) -> str:
+    """Fingerprint of the Python source of ``packages`` (imported packages).
+
+    Hashes the relative path and bytes of every ``.py`` file under each
+    package's directory, plus the interpreter's major.minor version
+    (``random`` sequences are only promised stable within one version).
+    An artifact keyed on it is rebuilt after any edit to the code that
+    computes it, with no version constant to bump by hand.
+    """
+    hasher = hashlib.sha256(f"python{sys.version_info[0]}.{sys.version_info[1]}".encode())
+    for package in packages:
+        root = Path(package.__path__[0])
+        for path in sorted(root.rglob("*.py")):
+            relative = f"{package.__name__}/{path.relative_to(root).as_posix()}"
+            hasher.update(b"\0" + relative.encode() + b"\0")
+            hasher.update(path.read_bytes())
+    return hasher.hexdigest()[:16]
 
 
 def _digest(kind: str, key_parts: tuple) -> str:

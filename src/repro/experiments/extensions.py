@@ -18,6 +18,7 @@ from repro.cache.direct_mapped import simulate_trace
 from repro.cache.set_associative import simulate_trace_associative
 from repro.ccrp.paging import CompressedPageStore, PagedMemorySimulator
 from repro.compression.multicode import MultiCodeCompressor, train_code_set
+from repro.core.artifacts import get_study
 from repro.core.standard import standard_code
 from repro.experiments.formats import percent, render_table
 from repro.workloads.suite import load, load_figure5_corpus
@@ -115,9 +116,11 @@ def run_extensions() -> ExtensionsResult:
         )
 
     # --- Extension B: associativity -------------------------------------
+    # Traces come from the studies the tables share (in memory or on disk),
+    # so a warm run executes nothing.
     associativity_rows = []
     for program in ("espresso", "nasa7"):
-        trace = load(program).run().trace.addresses
+        trace = get_study(program).execution.trace.addresses
         for cache_bytes in (512, 1024, 4096):
             associativity_rows.append(
                 AssociativityRow(
@@ -134,9 +137,8 @@ def run_extensions() -> ExtensionsResult:
             )
 
     # --- Extension C: compressed demand paging ---------------------------
-    workload = load("espresso")
-    store = CompressedPageStore(workload.text, standard_code())
-    addresses = workload.run().trace.addresses
+    store = CompressedPageStore(load("espresso").text, standard_code())
+    addresses = get_study("espresso").execution.trace.addresses
     paging_rows = []
     for memory in ("eprom", "burst_eprom", "sc_dram"):
         simulator = PagedMemorySimulator(store, frames=16, memory=memory)

@@ -53,7 +53,8 @@ class AssembledProgram:
         text_base: Load address of the text segment.
         data_base: Load address of the data segment.
         labels: Label name -> absolute address.
-        instructions: The expanded instruction list, index = word offset.
+        instructions: The expanded instruction list, index = word offset;
+            equal instructions are the same object.
     """
 
     text: bytes
@@ -256,11 +257,14 @@ class Assembler:
     def _pass_two(
         self, lines: list[_Line], labels: dict[str, int]
     ) -> list[Instruction]:
+        # Equal instructions share one object: a program holds (and its
+        # pickle stores) one Instruction per distinct instruction.
+        interned: dict[Instruction, Instruction] = {}
         instructions: list[Instruction] = []
         pc = self.text_base
         for line in lines:
             expanded = self._expand(line, pc, labels)
-            instructions.extend(expanded)
+            instructions.extend(interned.setdefault(item, item) for item in expanded)
             pc += 4 * len(expanded)
         return instructions
 

@@ -7,6 +7,8 @@ round-trip ``decode(encode(i)) == i`` property is enforced by tests.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import DecodingError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import (
@@ -80,11 +82,38 @@ def decode(word: int) -> Instruction:
     return Instruction(spec, rs=rs, rt=rt, imm=_imm(word))
 
 
-def decode_program(code: bytes) -> list[Instruction]:
-    """Decode a contiguous big-endian byte string into instructions."""
+def _check_length(code: bytes) -> None:
     if len(code) % 4:
         raise DecodingError(f"code length {len(code)} is not a multiple of 4")
+
+
+def decode_program(code: bytes) -> list[Instruction]:
+    """Decode a contiguous big-endian byte string into instructions."""
+    _check_length(code)
     return [
         decode(int.from_bytes(code[offset : offset + 4], "big"))
         for offset in range(0, len(code), 4)
     ]
+
+
+def decode_distinct(code: bytes) -> tuple[list[Instruction], np.ndarray]:
+    """Decode each distinct word of ``code`` once.
+
+    Returns ``(instructions, inverse)``: the distinct words decoded in
+    order of first occurrence, and for every word of ``code`` the index of
+    its instruction, so ``[instructions[i] for i in inverse]`` equals
+    :func:`decode_program`'s list.  A per-word function applied to the
+    distinct instructions scatters back through ``inverse`` with numpy.
+
+    Decoding in first-occurrence order makes the error for a bad segment
+    the one :func:`decode_program` raises: it names the first invalid
+    word in text order, not the smallest.
+    """
+    _check_length(code)
+    words = np.frombuffer(code, dtype=">u4")
+    distinct, first, inverse = np.unique(words, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    instructions = [decode(word) for word in distinct[order].tolist()]
+    return instructions, rank[inverse]

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.decoding import decode_program
+import numpy as np
+
+from repro.isa.decoding import decode_distinct
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Category
 
@@ -145,6 +147,7 @@ class DenseEncodingReport:
 
 def analyze_dense_encoding(text: bytes) -> DenseEncodingReport:
     """Classify every instruction of a text segment."""
-    instructions = decode_program(text)
-    dense = sum(1 for instruction in instructions if is_dense_encodable(instruction))
-    return DenseEncodingReport(instructions=len(instructions), dense_count=dense)
+    instructions, inverse = decode_distinct(text)
+    encodable = np.array([is_dense_encodable(i) for i in instructions], dtype=bool)
+    dense = int(np.count_nonzero(encodable[inverse]))
+    return DenseEncodingReport(instructions=len(inverse), dense_count=dense)

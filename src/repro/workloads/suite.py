@@ -179,9 +179,13 @@ def _build_source(spec: _Spec) -> str:
 def load(name: str) -> Workload:
     """Load a workload by suite name (deterministic and cached).
 
-    Assembly dominates a cold process start (the ten-program corpus takes
-    ~2 s), so the assembled image is also memoised in the on-disk
-    artifact cache, content-addressed by the generated source text.
+    Source generation and assembly dominate a cold process start, so the
+    assembled image is memoised in the on-disk artifact cache.  The image
+    is a function of the workload name and the code of
+    :mod:`repro.workloads` and :mod:`repro.isa` alone, so the key is that
+    name plus :func:`_assembly_source_digest`: a warm load neither
+    generates nor assembles, and an edit to either package rebuilds every
+    image.
     """
     from repro.core import artifacts
 
@@ -190,14 +194,23 @@ def load(name: str) -> Workload:
         raise ConfigurationError(
             f"unknown workload {name!r}; choose from {sorted(_SPECS)}"
         )
-    source = _build_source(spec)
     program = artifacts.get_cache().get_or_compute(
         "assembly",
-        lambda: Assembler().assemble(source),
+        lambda: Assembler().assemble(_build_source(spec)),
         name,
-        artifacts.fingerprint_bytes(source.encode()),
+        _assembly_source_digest(),
     )
     return Workload(name=name, program=program, executable=spec.executable)
+
+
+@lru_cache(maxsize=None)
+def _assembly_source_digest() -> str:
+    """Source digest of the code that generates and assembles workloads."""
+    import repro.isa
+    import repro.workloads
+    from repro.core.artifacts import source_digest
+
+    return source_digest(repro.workloads, repro.isa)
 
 
 @lru_cache(maxsize=None)

@@ -49,6 +49,44 @@ class TestFingerprints:
         assert artifacts.code_fingerprint(bounded) != artifacts.code_fingerprint(shorter)
         assert artifacts.code_fingerprint(bounded) == artifacts.code_fingerprint(bounded)
 
+    def test_source_digest_changes_with_any_byte_of_either_package(
+        self, tmp_path, monkeypatch
+    ):
+        import shutil
+        import sys
+        import types
+
+        import repro.isa
+        import repro.workloads
+
+        copies = []
+        for package in (repro.workloads, repro.isa):
+            root = tmp_path / package.__name__
+            shutil.copytree(
+                package.__path__[0], root, ignore=shutil.ignore_patterns("__pycache__")
+            )
+            copy = types.ModuleType(package.__name__)
+            copy.__path__ = [str(root)]
+            copies.append(copy)
+        baseline = artifacts.source_digest(*copies)
+        # Content-addressed: the copy digests like the installed packages.
+        assert baseline == artifacts.source_digest(repro.workloads, repro.isa)
+
+        sources = sorted(tmp_path.rglob("*.py"))
+        assert len(sources) > 10
+        for path in sources:
+            original = path.read_bytes()
+            middle = len(original) // 2
+            path.write_bytes(
+                original[:middle] + bytes([original[middle] ^ 1]) + original[middle + 1 :]
+            )
+            assert artifacts.source_digest(*copies) != baseline, path.name
+            path.write_bytes(original)
+        assert artifacts.source_digest(*copies) == baseline
+
+        monkeypatch.setattr(sys, "version_info", (3, 99, 0))
+        assert artifacts.source_digest(*copies) != baseline
+
 
 class TestArtifactCache:
     def test_round_trip(self, tmp_path):

@@ -203,3 +203,86 @@ class TestExtraValidationWorkloads:
             restored = compressor.block_compressor.decompress_program(list(image.blocks))
             assert restored[: len(text)] == text
             assert image.compression_ratio < 0.9
+
+
+@pytest.fixture
+def private_assembly_cache(tmp_path, monkeypatch):
+    """An empty artifact cache and an empty ``load`` memo, restored afterwards."""
+    monkeypatch.setenv("CCRP_CACHE_DIR", str(tmp_path))
+    load.cache_clear()
+    yield tmp_path
+    load.cache_clear()
+
+
+class TestAssemblyArtifact:
+    """The assembled image is keyed on the workload name and the source digest."""
+
+    SMALL = ("eightq", "lloop01", "fib", "crc32")
+
+    def test_cold_load_builds_each_source_once(self, private_assembly_cache, monkeypatch):
+        from collections import Counter
+
+        from repro.workloads import suite
+
+        builds: Counter = Counter()
+        build = suite._build_source
+
+        def counting(spec):
+            builds[spec.name] += 1
+            return build(spec)
+
+        monkeypatch.setattr(suite, "_build_source", counting)
+        for name in self.SMALL + self.SMALL:
+            load(name)
+        assert builds == Counter(self.SMALL)
+
+        load.cache_clear()  # a new process on the now warm disk cache
+        for name in self.SMALL:
+            load(name)
+        assert builds == Counter(self.SMALL)
+
+    def test_warm_load_never_generates_source(self, private_assembly_cache, monkeypatch):
+        from repro.workloads import suite
+
+        cold = load("eightq")
+        load.cache_clear()
+
+        def refuse(spec):
+            raise AssertionError(f"regenerated {spec.name} on a warm load")
+
+        monkeypatch.setattr(suite, "_build_source", refuse)
+        warm = load("eightq")
+        assert warm is not cold
+        assert warm.program == cold.program
+
+    def test_key_is_the_source_digest_of_workloads_and_isa(self, private_assembly_cache):
+        import repro.isa
+        import repro.workloads
+        from repro.core.artifacts import get_cache, source_digest
+
+        load("eightq")
+        key = ("eightq", source_digest(repro.workloads, repro.isa))
+        assert get_cache().path_for("assembly", *key).is_file()
+
+
+class TestInternedInstructions:
+    """Equal instructions of one program are one object, and decode to the text."""
+
+    @pytest.mark.parametrize("name", available_workloads())
+    def test_instructions_decode_from_text(self, name):
+        program = load(name).program
+        assert decode_program(program.text) == list(program.instructions)
+
+    def test_equal_instructions_are_one_object(self):
+        program = load("espresso").program
+        distinct = set(program.instructions)
+        assert len({id(instruction) for instruction in program.instructions}) == len(distinct)
+        assert len(distinct) < len(program.instructions) // 4
+
+    def test_pickle_round_trip_keeps_program_and_sharing(self):
+        import pickle
+
+        program = load("nasa7").program
+        restored = pickle.loads(pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL))
+        assert restored == program
+        assert len({id(i) for i in restored.instructions}) == len(set(program.instructions))
