@@ -32,7 +32,6 @@ from repro.ccrp.image import CompressedImage
 from repro.core.metrics import METRICS
 from repro.faults.integrity import crc8, validate_integrity_policy
 from repro.lat.entry import ENTRY_BYTES, LINES_PER_ENTRY, LATEntry
-from repro.memsys.models import memsys_reference_mode
 
 
 class ExpandingInstructionCache:
@@ -85,12 +84,6 @@ class ExpandingInstructionCache:
                 "memory_image override must match the image layout "
                 f"({expected_bytes} bytes, got {len(self._memory)})"
             )
-        # Refills may be served from the image's one batch decode, even
-        # under an overridden (possibly corrupted) store: decoding is a
-        # pure function of (code, stored bytes), and ``_refill`` takes the
-        # batch line only when the fetched bytes equal the block's
-        # pristine bytes.  Any other fetch is decoded scalar.
-        self._use_batch = not memsys_reference_mode()
         self._tags: list[int | None] = [None] * self.num_sets
         self._lines: list[bytes] = [b""] * self.num_sets
         self.hits = 0
@@ -150,11 +143,11 @@ class ExpandingInstructionCache:
 
         if not entry.is_compressed(slot):
             return stored
-        # The batch-decoded line is only valid if the walk fetched exactly
-        # the block's stored bytes — the comparison keeps the LAT walk
-        # honest, and anything else (corruption, walk bugs) decodes the
-        # fetched bytes scalar, exactly as the hardware would.
-        if self._use_batch and stored == image.blocks[block_index].data:
+        # The image's one batch decode serves the refill, even under an
+        # overridden store, only if the walk fetched exactly the block's
+        # pristine bytes; anything else (corruption, walk bugs) decodes
+        # the fetched bytes scalar, exactly as the hardware would.
+        if stored == image.blocks[block_index].data:
             line = image.expanded_lines()[block_index]
             # A None slot is a blob the batch decode could not expand
             # (image built from corrupted storage).  Fall through to the

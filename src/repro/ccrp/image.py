@@ -185,12 +185,11 @@ class CompressedImage:
     # Vectorized views (cached; see repro.ccrp.decoder / stackdist)
     # ------------------------------------------------------------------
 
-    def block_arrays(self) -> BlockArrays | None:
+    def block_arrays(self) -> BlockArrays:
         """Columnar numpy view of the blocks for the refill kernels.
 
-        ``None`` when the blocks are not uniform full lines (only
-        possible for hand-built images); callers then fall back to the
-        scalar per-block loops.
+        Raises :class:`~repro.errors.CompressionError` for a hand-built
+        image whose compressed blocks are not uniform full lines.
         """
         if not hasattr(self, "_block_arrays_cache"):
             object.__setattr__(

@@ -15,22 +15,21 @@ from repro.ccrp.decoder import DecoderModel
 from repro.ccrp.image import CompressedImage
 from repro.errors import LATError
 from repro.lat.entry import ENTRY_BYTES
-from repro.memsys.models import MemoryModel, get_memory_model, memsys_reference_mode
+from repro.memsys.models import MemoryModel, get_memory_model
 
 
 class RefillEngine:
     """Per-line refill costs for a compressed image under one memory model.
 
+    Tables come from :meth:`DecoderModel.refill_cycles_table`, pinned in
+    tests to the per-block :meth:`DecoderModel.refill_cycles` reference;
+    an image with non-uniform compressed blocks raises
+    :class:`~repro.errors.CompressionError`.
+
     Args:
         image: The compressed program.
         memory: Memory model (instance or name).
         decoder: Decoder timing model.
-        vectorized: Build the cost tables with the array kernels
-            (:meth:`DecoderModel.refill_cycles_table`) instead of the
-            per-block reference loop.  ``None`` (the default) uses the
-            kernels unless ``CCRP_MEMSYS_REFERENCE`` is set or the image's
-            blocks are not uniform full lines.  Both paths are
-            property-pinned equal; the tables they produce are identical.
     """
 
     def __init__(
@@ -38,28 +37,14 @@ class RefillEngine:
         image: CompressedImage,
         memory: MemoryModel | str,
         decoder: DecoderModel | None = None,
-        vectorized: bool | None = None,
     ) -> None:
         self.image = image
         self.memory = get_memory_model(memory)
         self.decoder = decoder or DecoderModel()
-        if vectorized is None:
-            vectorized = not memsys_reference_mode()
-        arrays = image.block_arrays() if vectorized else None
-        if arrays is not None:
-            self._ccrp_cycles = self.decoder.refill_cycles_table(arrays, self.memory)
-            bus = self.memory.bus_bytes
-            self._fetched_bytes = -(-arrays.stored_sizes // bus) * bus
-        else:
-            self._ccrp_cycles = np.array(
-                [self.decoder.refill_cycles(block, self.memory) for block in image.blocks],
-                dtype=np.int64,
-            )
-            bus = self.memory.bus_bytes
-            self._fetched_bytes = np.array(
-                [bus * self.memory.beats_for_bytes(block.stored_size) for block in image.blocks],
-                dtype=np.int64,
-            )
+        arrays = image.block_arrays()
+        self._ccrp_cycles = self.decoder.refill_cycles_table(arrays, self.memory)
+        bus = self.memory.bus_bytes
+        self._fetched_bytes = -(-arrays.stored_sizes // bus) * bus
         self.baseline_refill_cycles = self.memory.bytes_read_cycles(image.line_size)
 
     # ------------------------------------------------------------------

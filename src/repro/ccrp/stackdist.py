@@ -28,8 +28,8 @@ module instead computes distances offline with numpy:
    disjoint by block offsets — O(n log² n), entirely in C.
 
 Property tests pin the result to the stateful LRU reference on random
-streams; the harness-smoke CI job additionally asserts Tables 9–10 are
-byte-identical under both paths.
+streams, and tier-1 tests pin every CLB count the Tables 1–10 grids
+read on real program miss streams.
 """
 
 from __future__ import annotations

@@ -69,13 +69,13 @@ class BlockArrays:
 
 def build_block_arrays(
     blocks: tuple[CompressedBlock, ...] | list[CompressedBlock], line_size: int
-) -> BlockArrays | None:
-    """Build the columnar view, or ``None`` when blocks are not uniform.
+) -> BlockArrays:
+    """Build the columnar view of a block sequence.
 
-    Block-bounded compression always produces full-line blocks, so the
-    ``None`` case (a compressed block whose symbol count differs from the
-    line size) only arises for hand-built block lists; callers fall back
-    to the scalar per-block loops.
+    Block-bounded compression always produces full-line blocks, so a
+    compressed block without exactly ``line_size`` symbol lengths only
+    arises in a hand-built block list; it raises
+    :class:`~repro.errors.CompressionError` naming the first such block.
     """
     count = len(blocks)
     stored_sizes = np.fromiter(
@@ -84,9 +84,14 @@ def build_block_arrays(
     compressed = np.fromiter(
         (block.is_compressed for block in blocks), dtype=bool, count=count
     )
-    rows = [block.symbol_bits for block in blocks if block.is_compressed]
-    if any(row is None or len(row) != line_size for row in rows):
-        return None
+    rows = []
+    for index, block in enumerate(blocks):
+        if block.is_compressed:
+            if block.symbol_bits is None or len(block.symbol_bits) != line_size:
+                raise CompressionError(
+                    f"block {index}: compressed block lacks {line_size} symbol bit lengths"
+                )
+            rows.append(block.symbol_bits)
     symbol_bits = (
         np.array(rows, dtype=np.int64)
         if rows

@@ -2,7 +2,7 @@
 
 :class:`ProgramStudy` owns everything reusable about one workload — its
 execution trace, compressed image, per-cache-size miss streams, and
-per-CLB-size miss counts — so design-space sweeps (the paper's Tables 1-13
+per-cache-size CLB miss curves — so design-space sweeps (the paper's Tables 1-13
 and Figure 9) pay for each expensive piece exactly once.
 """
 
@@ -23,7 +23,7 @@ from repro.core.metrics import METRICS
 from repro.core.performance import ComparisonReport, SystemMetrics
 from repro.core.standard import standard_code
 from repro.lat.entry import ENTRY_BYTES, LINES_PER_ENTRY
-from repro.memsys.models import get_memory_model, memsys_reference_mode
+from repro.memsys.models import get_memory_model
 from repro.pipeline.datapath import PipelineResult
 from repro.pipeline.frontend import (
     baseline_critical_word_cycles,
@@ -89,7 +89,6 @@ class ProgramStudy:
             )
 
         self._cache_stats: dict[int, CacheStats] = {}
-        self._clb_misses: dict[tuple[int, int], int] = {}
         self._clb_curves: dict[int, np.ndarray] = {}
         self._engines: dict[str, RefillEngine] = {}
         self._pipeline_replay: PipelineResult | None = None
@@ -121,33 +120,11 @@ class ProgramStudy:
     def clb_miss_count(self, cache_bytes: int, clb_entries: int) -> int:
         """CLB misses over the miss stream of one cache size (cached).
 
-        Served from the one-pass stack-distance miss curve, so sweeping
-        CLB sizes costs one simulation per cache size.  With
-        ``CCRP_MEMSYS_REFERENCE`` set, the stateful :class:`CLB` walks
-        the stream instead — the golden reference the curve is pinned to.
+        Served from the one-pass stack-distance miss curve (pinned in
+        tests to the stateful :class:`CLB`), so sweeping CLB sizes costs
+        one simulation per cache size.
         """
-        if not memsys_reference_mode():
-            return lru_miss_count(self._clb_curve(cache_bytes), clb_entries)
-        key = (cache_bytes, clb_entries)
-        count = self._clb_misses.get(key)
-        if count is None:
-            with METRICS.stage("study.clb_sim"):
-                miss_lines = self.cache_stats(cache_bytes).miss_lines
-
-                def _simulate() -> int:
-                    lat_indices = miss_lines // LINES_PER_ENTRY
-                    return CLB(entries=clb_entries).simulate(lat_indices)
-
-                count = artifacts.get_cache().get_or_compute(
-                    "clb-misses",
-                    _simulate,
-                    *self._trace_key,
-                    cache_bytes,
-                    self.image.line_size,
-                    clb_entries,
-                )
-            self._clb_misses[key] = count
-        return count
+        return lru_miss_count(self._clb_curve(cache_bytes), clb_entries)
 
     def clb_miss_counts(self, cache_bytes: int) -> dict[int, int]:
         """Miss counts for *every* CLB capacity over one cache size.

@@ -71,9 +71,6 @@ DEFAULT_MEMORIES = ("eprom", "burst_eprom", "sc_dram")
 DEFAULT_CLB_ENTRIES = (16,)
 DEFAULT_DATA_MISS_RATES = (1.0,)
 
-#: Environment variable overriding the pool start method (fork/forkserver/spawn).
-ENV_POOL_START = "CCRP_POOL_START"
-
 #: Version tag of the shard files written by ``ccrp-sweep --emit-shard``.
 SHARD_SCHEMA = "ccrp-sweep-shard/1"
 
@@ -260,18 +257,9 @@ def _pool_context():
 
     Prefers ``fork`` so workers inherit the parent's pre-warmed study
     LRU copy-on-write (no per-worker rebuild, not even a disk load),
-    then ``forkserver``, then the platform default.  ``CCRP_POOL_START``
-    overrides the choice by name.
+    then ``forkserver``, then the platform default.
     """
     methods = multiprocessing.get_all_start_methods()
-    requested = os.environ.get(ENV_POOL_START, "").strip()
-    if requested:
-        if requested not in methods:
-            raise ConfigurationError(
-                f"{ENV_POOL_START}={requested!r} is not a start method on "
-                f"this platform; choose from {methods}"
-            )
-        return multiprocessing.get_context(requested)
     for method in ("fork", "forkserver"):
         if method in methods:
             return multiprocessing.get_context(method)

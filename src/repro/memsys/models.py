@@ -16,26 +16,9 @@ stated simplification.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-
-#: Set to a truthy value to force the scalar golden-reference memory-system
-#: paths (stateful CLB walk, per-block refill loops, per-line decode)
-#: instead of the vectorized kernels.  CI uses it to assert both paths
-#: render byte-identical experiment outputs.
-MEMSYS_REFERENCE_ENV = "CCRP_MEMSYS_REFERENCE"
-
-
-def memsys_reference_mode() -> bool:
-    """True when the environment forces the scalar reference paths."""
-    return os.environ.get(MEMSYS_REFERENCE_ENV, "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ server can fold worker-side cache counters (``artifacts.build``,
 ``artifacts.coalesced``, ...) into the live ``stats`` endpoint.
 
 The pool itself (:class:`WorkerPool`) reuses the warm-start machinery of
-:mod:`repro.core.sweep`: workers fork (or ``CCRP_POOL_START``-selected
-start method) from the server process, share the on-disk artifact cache,
-and coalesce concurrent builds of the same artifact through the per-key
+:mod:`repro.core.sweep`: workers fork (or use ``forkserver`` where
+``fork`` is unavailable) from the server process, share the on-disk
+artifact cache, and coalesce concurrent builds of the same artifact through the per-key
 ``flock`` single-flight of :mod:`repro.core.artifacts`.  Every fresh
 worker starts from an empty in-memory study LRU, so cache behaviour is
 attributable: the first build of a study in a pool hits the disk cache
@@ -270,7 +270,7 @@ class WorkerPool:
 
     Thin wrapper over :class:`~concurrent.futures.ProcessPoolExecutor`
     under the sweep layer's warm-start context (``fork`` preferred,
-    ``CCRP_POOL_START`` overrides).  A crashed worker breaks the whole
+    then ``forkserver``).  A crashed worker breaks the whole
     executor — :meth:`restart` swaps in a fresh one; the generation
     counter keeps concurrent chunk failures from double-restarting.
     """

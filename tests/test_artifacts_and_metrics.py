@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pathlib
 import pickle
+import re
 
 import pytest
 
@@ -487,3 +489,32 @@ class TestMetricsRegistry:
             assert final["counters"][f"count.w{i}"] == rounds
             assert final["observations"][f"latency.w{i}"]["count"] == rounds
             assert final["stages"][f"stage.w{i}"]["calls"] == rounds
+
+
+class TestConfigurationSurface:
+    """The environment is a deployment surface, not a switch board.
+
+    Only the artifact cache reads the environment, and only for its two
+    deployment settings; code-path selectors must not creep back in.
+    """
+
+    SRC = pathlib.Path(artifacts.__file__).resolve().parents[1]
+    ENV_READ = re.compile(
+        r"\bos\.(?:environ|getenv)\b|^from os import .*\b(?:environ|getenv)\b", re.M
+    )
+
+    def _sources(self):
+        for path in sorted(self.SRC.rglob("*.py")):
+            yield path.relative_to(self.SRC).as_posix(), path.read_text()
+
+    def test_ccrp_literals_are_the_cache_settings(self):
+        names = {
+            name
+            for _, text in self._sources()
+            for name in re.findall(r"""["'](CCRP_\w+)["']""", text)
+        }
+        assert names == {"CCRP_CACHE_DIR", "CCRP_NO_CACHE"}
+
+    def test_only_artifacts_reads_the_environment(self):
+        readers = {module for module, text in self._sources() if self.ENV_READ.search(text)}
+        assert readers == {"core/artifacts.py"}

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ccrp.compressor import ProgramCompressor
 from repro.ccrp.expanding_cache import ExpandingInstructionCache
+from repro.ccrp.image import CompressedImage
 from repro.compression.block import DEFAULT_LINE_SIZE, BlockCompressor
 from repro.compression.histogram import byte_histogram
 from repro.compression.huffman import HuffmanCode
@@ -397,12 +398,18 @@ def _refill_walk(image, policy, memory):
     return lines, cache.integrity_events
 
 
+def _all_none_lines(image) -> tuple[None, ...]:
+    """Stand-in for :meth:`CompressedImage.expanded_lines` with every slot
+    empty, which sends each compressed refill to ``decode_fast``."""
+    return (None,) * len(image.blocks)
+
+
 class TestBatchRefillUnderOverride:
     """A corrupted ``memory_image`` still refills healthy lines from the batch.
 
     The batch line is used only when the fetched bytes equal the block's
-    pristine bytes, so the walk must match the scalar reference mode line
-    for line, and only corrupt or displaced fetches reach ``decode_fast``.
+    pristine bytes, so the walk must match an all-scalar walk line for
+    line, and only corrupt or displaced fetches reach ``decode_fast``.
     """
 
     PROGRAM = (bytes(range(0, 64, 2)) + bytes(32)) * 32  # compresses well
@@ -423,13 +430,28 @@ class TestBatchRefillUnderOverride:
         for image, memory in self._cases():
             fast = _refill_walk(image, policy, memory)
             with monkeypatch.context() as patch:
-                patch.setenv("CCRP_MEMSYS_REFERENCE", "1")
+                patch.setattr(CompressedImage, "expanded_lines", _all_none_lines)
                 reference = _refill_walk(image, policy, memory)
             assert fast == reference
             outcomes.update(type(item) for item in fast[0])
             assert fast[1], "every case corrupts a fetched block"
         # The cases exercise both served lines and refused ones.
         assert outcomes == {bytes, tuple}
+
+    def test_fault_study_refill_rows_match_scalar_refills(self, monkeypatch):
+        """The exported refill-survey rows, with and without the batch path."""
+        from repro.experiments.fault_study import (
+            DEFAULT_PROGRAMS,
+            DEFAULT_TRIALS,
+            _refill_trials,
+        )
+
+        fast = _refill_trials(DEFAULT_PROGRAMS, DEFAULT_TRIALS, 1992)
+        with monkeypatch.context() as patch:
+            patch.setattr(CompressedImage, "expanded_lines", _all_none_lines)
+            reference = _refill_trials(DEFAULT_PROGRAMS, DEFAULT_TRIALS, 1992)
+        assert fast == reference
+        assert all(row.detected for row in fast)
 
     def test_decode_fast_only_for_changed_fetches(self, monkeypatch):
         calls = []

@@ -13,14 +13,17 @@ reference; these tests pin them together:
 * :meth:`HuffmanCode.decode_lines` vs :meth:`HuffmanCode.decode_fast`
   (byte identity, error-message identity, bypass, truncation, the
   ``errors="none"`` protocol, and the >16-bit-code scalar fallback);
-* the study/cache wiring: ``clb_miss_counts``, the
-  ``CCRP_MEMSYS_REFERENCE`` escape hatch, the batch refill path of
-  :class:`ExpandingInstructionCache`, and the single-serialization
-  guarantee.
+* the study/cache wiring on real programs (the Tables 9-10 ones
+  included): ``clb_miss_count(s)`` vs the stateful CLB, and the
+  :class:`RefillEngine` tables vs the per-block loops;
+* the batch refill path of :class:`ExpandingInstructionCache` vs
+  :meth:`HuffmanCode.decode_fast` on every fetch, and the
+  single-serialization guarantee.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -32,6 +35,7 @@ from repro.ccrp.clb import CLB
 from repro.ccrp.compressor import ProgramCompressor
 from repro.ccrp.decoder import DecoderModel
 from repro.ccrp.expanding_cache import ExpandingInstructionCache
+from repro.ccrp.image import CompressedImage
 from repro.ccrp.refill import RefillEngine
 from repro.ccrp.stackdist import lru_miss_count, lru_miss_curve, stack_distances
 from repro.compression.block import BlockCompressor, build_block_arrays
@@ -51,6 +55,29 @@ def sample_text(lines: int = 40, seed: int = 30) -> bytes:
     rng = random.Random(seed)
     # Skewed byte distribution, like machine code.
     return bytes(rng.choices(range(256), weights=[400] + [4] * 63 + [1] * 192, k=lines * 32))
+
+
+def reference_tables(image, memory, decoder) -> tuple[list[int], list[int]]:
+    """Per-block reference loops for the refill-cycle and fetched-byte tables."""
+    cycles = [decoder.refill_cycles(block, memory) for block in image.blocks]
+    bus = memory.bus_bytes
+    fetched = [bus * memory.beats_for_bytes(block.stored_size) for block in image.blocks]
+    return cycles, fetched
+
+
+def strip_symbol_bits(image, indices) -> CompressedImage:
+    """Hand-built copy of ``image`` whose listed blocks lack symbol lengths."""
+    blocks = tuple(
+        dataclasses.replace(block, symbol_bits=None) if index in indices else block
+        for index, block in enumerate(image.blocks)
+    )
+    return dataclasses.replace(image, blocks=blocks)
+
+
+def all_none_lines(image) -> tuple[None, ...]:
+    """Stand-in for :meth:`CompressedImage.expanded_lines` with every slot
+    empty, which sends each compressed refill to ``decode_fast``."""
+    return (None,) * len(image.blocks)
 
 
 def reference_distances(probes: list[int]) -> list[int]:
@@ -190,19 +217,15 @@ class TestRefillTables:
     @pytest.mark.parametrize("memory", MEMORIES, ids=lambda m: m.name)
     def test_engine_arms_build_identical_tables(self, image, memory):
         decoder = DecoderModel(detailed=True)
-        reference = RefillEngine(image, memory, decoder, vectorized=False)
-        vectorized = RefillEngine(image, memory, decoder, vectorized=True)
-        assert np.array_equal(reference.ccrp_refill_cycles, vectorized.ccrp_refill_cycles)
-        assert np.array_equal(
-            reference.fetched_bytes_per_line, vectorized.fetched_bytes_per_line
-        )
+        engine = RefillEngine(image, memory, decoder)
+        cycles, fetched = reference_tables(image, memory, decoder)
+        assert engine.ccrp_refill_cycles.tolist() == cycles
+        assert engine.fetched_bytes_per_line.tolist() == fetched
 
-    def test_reference_env_forces_scalar_build(self, image, monkeypatch):
-        monkeypatch.setenv("CCRP_MEMSYS_REFERENCE", "1")
-        forced = RefillEngine(image, EPROM)
-        monkeypatch.delenv("CCRP_MEMSYS_REFERENCE")
-        default = RefillEngine(image, EPROM)
-        assert np.array_equal(forced.ccrp_refill_cycles, default.ccrp_refill_cycles)
+    def test_engine_rejects_non_uniform_image(self, image):
+        first = next(i for i, block in enumerate(image.blocks) if block.is_compressed)
+        with pytest.raises(CompressionError, match=f"^block {first}:"):
+            RefillEngine(strip_symbol_bits(image, {first}), EPROM)
 
 
 class TestDetailedIntegerArithmetic:
@@ -371,19 +394,20 @@ class TestImageBatchPlumbing:
                 assert line == block.data
 
     def test_build_block_arrays_rejects_missing_symbol_bits(self, image):
+        compressed = [i for i, block in enumerate(image.blocks) if block.is_compressed]
+        assert len(compressed) >= 3
+        # The error names the first non-uniform block, not the first block.
+        stripped = strip_symbol_bits(image, set(compressed[1:])).blocks
+        with pytest.raises(CompressionError, match=f"^block {compressed[1]}:"):
+            build_block_arrays(stripped, image.line_size)
+        # A short symbol-length row is just as non-uniform as a missing one.
         blocks = list(image.blocks)
-        stripped = [
-            type(b)(
-                data=b.data,
-                is_compressed=b.is_compressed,
-                bit_length=b.bit_length,
-                symbol_bits=None,
-            )
-            if b.is_compressed
-            else b
-            for b in blocks
-        ]
-        assert build_block_arrays(stripped, image.line_size) is None
+        short = blocks[compressed[2]]
+        blocks[compressed[2]] = dataclasses.replace(
+            short, symbol_bits=short.symbol_bits[:-1]
+        )
+        with pytest.raises(CompressionError, match=f"^block {compressed[2]}:"):
+            build_block_arrays(blocks, image.line_size)
 
     def test_pickle_drops_lazy_caches(self, image):
         import pickle
@@ -397,29 +421,32 @@ class TestImageBatchPlumbing:
 
 
 class TestStudyWiring:
-    """The grid-facing API: curves, counts, and the reference escape hatch."""
+    """The grid-facing API on real programs, pinned to the reference models.
+
+    ``nasa7`` and ``espresso`` are the Tables 9-10 programs, so every CLB
+    count and refill table those tables read is checked here.
+    """
 
     @pytest.fixture(scope="class")
-    def study(self):
+    def studies(self):
         from repro.core.artifacts import get_study
+        from repro.experiments.tables9_10 import CLB_PROGRAMS
 
-        return get_study("eightq", max_instructions=1_000_000)
-
-    @pytest.fixture(scope="class")
-    def studies(self, study):
-        from repro.core.artifacts import get_study
-
-        return (study, get_study("lloop01"))
+        return (
+            get_study("eightq", max_instructions=1_000_000),
+            get_study("lloop01"),
+        ) + tuple(get_study(program) for program in CLB_PROGRAMS)
 
     def test_clb_miss_counts_pin_to_stateful_clb(self, studies):
-        from repro.core.sweep import DEFAULT_CACHE_SIZES
+        from repro.experiments.tables1_8 import CACHE_SIZES
+        from repro.experiments.tables9_10 import CLB_ENTRIES
         from repro.lat.entry import LINES_PER_ENTRY
 
         for study in studies:
-            for cache_bytes in DEFAULT_CACHE_SIZES:
+            for cache_bytes in CACHE_SIZES:
                 stream = study.cache_stats(cache_bytes).miss_lines // LINES_PER_ENTRY
                 counts = study.clb_miss_counts(cache_bytes)
-                for entries in (1, 2, 4, 8, 16):
+                for entries in sorted({1, 2, *CLB_ENTRIES}):
                     expected = CLB(entries=entries).simulate(stream)
                     assert counts[min(entries, max(counts))] == expected
                     assert study.clb_miss_count(cache_bytes, entries) == expected
@@ -430,29 +457,15 @@ class TestStudyWiring:
         for study in studies:
             image = study.image
             for memory in (EPROM, BURST_EPROM, SC_DRAM):
-                reference = RefillEngine(image, memory, decoder, vectorized=False)
-                vectorized = RefillEngine(image, memory, decoder, vectorized=True)
-                assert np.array_equal(
-                    reference.ccrp_refill_cycles, vectorized.ccrp_refill_cycles
-                )
-                assert np.array_equal(
-                    reference.fetched_bytes_per_line, vectorized.fetched_bytes_per_line
-                )
+                engine = study.refill_engine(memory, decoder)
+                cycles, fetched = reference_tables(image, memory, decoder)
+                assert engine.ccrp_refill_cycles.tolist() == cycles
+                assert engine.fetched_bytes_per_line.tolist() == fetched
             blobs = [block.data for block in image.blocks if block.is_compressed]
             assert blobs
             assert image.code.decode_lines(blobs, image.line_size) == [
                 image.code.decode_fast(blob, image.line_size) for blob in blobs
             ]
-
-    def test_reference_env_matches_vectorized_metrics(self, study, monkeypatch):
-        from repro.core.config import SystemConfig
-
-        config = SystemConfig(cache_bytes=512, memory="eprom", clb_entries=8)
-        vectorized = study.metrics(config)
-        monkeypatch.setenv("CCRP_MEMSYS_REFERENCE", "1")
-        study._engines.clear()  # cached engines were built vectorized
-        reference = study.metrics(config)
-        assert reference == vectorized
 
 
 class TestExpandingCacheBatchPath:
@@ -462,27 +475,36 @@ class TestExpandingCacheBatchPath:
         return ProgramCompressor(make_code(text)).compress(text, text_base=0)
 
     def test_batch_and_scalar_paths_fetch_identical_lines(self, image, monkeypatch):
+        compressed = sum(block.is_compressed for block in image.blocks)
+        calls = []
+        original = HuffmanCode.decode_fast
+
+        def recording(self, blob, symbol_count):
+            calls.append(blob)
+            return original(self, blob, symbol_count)
+
+        monkeypatch.setattr(HuffmanCode, "decode_fast", recording)
+        # With every batch slot empty, each compressed fetch is decoded
+        # scalar: the reference the batch lines must reproduce.
+        with monkeypatch.context() as patch:
+            patch.setattr(CompressedImage, "expanded_lines", all_none_lines)
+            scalar = ExpandingInstructionCache(image, cache_bytes=256)
+            expected = [
+                scalar.read_line(line * image.line_size) for line in range(image.line_count)
+            ]
+        assert len(calls) == compressed > 0
+        calls.clear()
         batch = ExpandingInstructionCache(image, cache_bytes=256)
         # An explicit (here pristine) store keeps the batch path: it is
         # used only for fetches equal to the block's stored bytes.
         overridden = ExpandingInstructionCache(
             image, cache_bytes=256, memory_image=image.memory_image()
         )
-        # The reference mode decodes every fetched block scalar.
-        monkeypatch.setenv("CCRP_MEMSYS_REFERENCE", "1")
-        scalar = ExpandingInstructionCache(image, cache_bytes=256)
-        assert batch._use_batch and overridden._use_batch and not scalar._use_batch
         for line in range(image.line_count):
             address = line * image.line_size
-            expected = scalar.read_line(address)
-            assert batch.read_line(address) == expected
-            assert overridden.read_line(address) == expected
-
-    def test_reference_env_disables_batch_path(self, image, monkeypatch):
-        monkeypatch.setenv("CCRP_MEMSYS_REFERENCE", "yes")
-        cache = ExpandingInstructionCache(image, cache_bytes=256)
-        assert not cache._use_batch
-        assert cache.read_line(0) == image.expanded_lines()[image.line_index(0)]
+            assert batch.read_line(address) == expected[line]
+            assert overridden.read_line(address) == expected[line]
+        assert calls == []
 
     def test_init_serialises_at_most_once(self, image, monkeypatch):
         import repro.ccrp.image as image_module
