@@ -42,6 +42,7 @@ import tempfile
 import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable
 
@@ -141,6 +142,18 @@ def source_digest(*packages) -> str:
             hasher.update(b"\0" + relative.encode() + b"\0")
             hasher.update(path.read_bytes())
     return hasher.hexdigest()[:16]
+
+
+@lru_cache(maxsize=None)
+def repro_source_digest() -> str:
+    """:func:`source_digest` of the whole :mod:`repro` package, once per process.
+
+    Keys the replay kinds (``pipeline-replay``, ``prefetch-replay``,
+    ``prefetch-exact``), so any code edit rebuilds them.
+    """
+    import repro
+
+    return source_digest(repro)
 
 
 def _digest(kind: str, key_parts: tuple) -> str:

@@ -196,9 +196,7 @@ class ProgramStudy:
                     _replay,
                     *self._trace_key,
                     self.hazards.fingerprint(),
-                    # Event segmentation changed (discontinuity-aware);
-                    # invalidate artifacts from the leader-only version.
-                    "timeline-v2",
+                    artifacts.repro_source_digest(),
                 )
             self._pipeline_replay = replay
         return replay
@@ -219,6 +217,29 @@ class ProgramStudy:
             )
         return self._btb
 
+    def prefetch_key(self, config: SystemConfig) -> tuple:
+        """The complete identity of one prefetching fetch-path replay.
+
+        The source digest of :mod:`repro`, the study (trace key, code
+        fingerprint, block alignment) and the machine (cache bytes,
+        memory, decoder, CLB size, policy, depth).  Keys both the
+        ``prefetch-replay`` artifact and the prefetch study's stored
+        exact-unit snapshot (``prefetch-exact``).
+        """
+        return (
+            artifacts.repro_source_digest(),
+            *self._trace_key,
+            self._code_fp,
+            self.block_alignment,
+            config.cache_bytes,
+            get_memory_model(config.memory).name,
+            config.decoder.bytes_per_cycle,
+            config.decoder.detailed,
+            config.clb_entries,
+            config.fetch_policy,
+            config.prefetch_depth,
+        )
+
     def prefetch_replay(self, config: SystemConfig) -> FetchReplay:
         """Fetch-path replay of one prefetching configuration (cached).
 
@@ -226,20 +247,10 @@ class ProgramStudy:
         (:func:`repro.prefetch.simulate_fetch_stream`) over the whole
         trace — byte-identical to the exact
         :class:`~repro.prefetch.engine.PrefetchingFetchUnit`, which the
-        prefetch study and property tests pin.  Disk cached on the full
-        machine identity (trace, code, alignment, cache geometry, memory,
-        decoder, CLB size, policy, depth).
+        prefetch study and property tests pin.  Disk cached under
+        :meth:`prefetch_key`.
         """
-        model = get_memory_model(config.memory)
-        key = (
-            config.cache_bytes,
-            model.name,
-            config.decoder.bytes_per_cycle,
-            config.decoder.detailed,
-            config.clb_entries,
-            config.fetch_policy,
-            config.prefetch_depth,
-        )
+        key = self.prefetch_key(config)
         replay = self._prefetch_replays.get(key)
         if replay is None:
             with METRICS.stage("study.prefetch_replay"):
@@ -250,7 +261,7 @@ class ProgramStudy:
                         self.execution.trace.addresses,
                         config.cache_bytes,
                         self.image.line_size,
-                        model,
+                        get_memory_model(config.memory),
                         refill=engine,
                         clb=CLB(entries=config.clb_entries),
                         policy=config.fetch_policy,
@@ -259,12 +270,7 @@ class ProgramStudy:
                     )
 
                 replay = artifacts.get_cache().get_or_compute(
-                    "prefetch-replay",
-                    _replay,
-                    *self._trace_key,
-                    self._code_fp,
-                    self.block_alignment,
-                    *key,
+                    "prefetch-replay", _replay, *key
                 )
             self._prefetch_replays[key] = replay
         return replay
