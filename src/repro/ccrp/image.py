@@ -66,8 +66,15 @@ class CompressedImage:
 
     @property
     def compressed_code_bytes(self) -> int:
-        """Bytes of compressed blocks alone (no LAT, no code table)."""
-        return sum(block.stored_size for block in self.blocks)
+        """Bytes of compressed blocks alone (no LAT, no code table), summed once per image.
+
+        Not via :meth:`block_arrays`: a service compress never needs its per-byte matrix.
+        """
+        cached = getattr(self, "_code_bytes_cache", None)
+        if cached is None:
+            cached = sum(block.stored_size for block in self.blocks)
+            object.__setattr__(self, "_code_bytes_cache", cached)
+        return cached
 
     @property
     def code_table_bytes(self) -> int:

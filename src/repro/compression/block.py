@@ -25,6 +25,12 @@ BYTE_ALIGNED = 1
 WORD_ALIGNED = 4
 
 
+def check_line_size(line_size: int) -> None:
+    """Reject a cache-line size that is not a positive power of two."""
+    if line_size <= 0 or line_size & (line_size - 1):
+        raise CompressionError(f"line size {line_size} is not a power of two")
+
+
 @dataclass(frozen=True)
 class CompressedBlock:
     """One cache line after block-bounded compression.
@@ -118,8 +124,7 @@ class BlockCompressor:
         line_size: int = DEFAULT_LINE_SIZE,
         alignment: int = BYTE_ALIGNED,
     ) -> None:
-        if line_size <= 0 or line_size & (line_size - 1):
-            raise CompressionError(f"line size {line_size} is not a power of two")
+        check_line_size(line_size)
         if alignment not in (BYTE_ALIGNED, WORD_ALIGNED):
             raise CompressionError(f"alignment must be 1 or 4, got {alignment}")
         self.code = code
@@ -152,6 +157,20 @@ class BlockCompressor:
             symbol_bits=tuple(self.code.symbol_bit_lengths(line)),
         )
 
+    def stored_sizes(self, text: bytes) -> np.ndarray:
+        """Stored bytes of each line of ``text`` (zero-padded tail), from code lengths alone.
+
+        Each line's bits round up to bytes, then to the alignment, capped at
+        ``line_size`` (the bypass); a byte without a code word raises as in
+        :meth:`compress_program`.  No bitstream is built.
+        """
+        line_size = self.line_size
+        symbols = np.frombuffer(text + bytes(-len(text) % line_size), dtype=np.uint8)
+        bits = self.code.checked_bit_lengths(symbols).reshape(-1, line_size).sum(axis=1)
+        # Whole alignment units of 8 × alignment bits: bytes, then the boundary.
+        aligned = -(-bits // (8 * self.alignment)) * self.alignment
+        return np.minimum(aligned, line_size)
+
     def compress_program(self, text: bytes) -> list[CompressedBlock]:
         """Split ``text`` into lines (zero-padding the tail) and compress.
 
@@ -159,13 +178,13 @@ class BlockCompressor:
         padding a text segment to its alignment; zeros are the most common
         byte in RISC code and compress extremely well.
 
-        All lines are encoded in one vectorized pass; the result is
-        identical, line for line, to mapping :meth:`compress_line`.
+        The bypass follows :meth:`stored_sizes` and all lines are encoded in
+        one vectorized pass; the result is identical, line for line, to
+        mapping :meth:`compress_line`.
         """
         line_size = self.line_size
-        remainder = len(text) % line_size
-        if remainder:
-            text = text + bytes(line_size - remainder)
+        compressed = (self.stored_sizes(text) < line_size).tolist()
+        text = text + bytes(-len(text) % line_size)
         batch = self.code.encode_lines(text, line_size)
         if batch is None:  # >64-bit code words: scalar per-line fallback
             return [
@@ -179,24 +198,22 @@ class BlockCompressor:
         blocks: list[CompressedBlock] = []
         for index, encoded in enumerate(encoded_lines):
             start = index * line_size
-            line = text[start : start + line_size]
-            stored = self._pad(encoded)
-            if len(stored) >= line_size:
+            if compressed[index]:
                 blocks.append(
                     CompressedBlock(
-                        data=bytes(line),
-                        is_compressed=False,
-                        bit_length=8 * line_size,
-                        symbol_bits=None,
+                        data=self._pad(encoded),
+                        is_compressed=True,
+                        bit_length=bit_totals[index],
+                        symbol_bits=tuple(all_symbol_bits[start : start + line_size]),
                     )
                 )
             else:
                 blocks.append(
                     CompressedBlock(
-                        data=stored,
-                        is_compressed=True,
-                        bit_length=bit_totals[index],
-                        symbol_bits=tuple(all_symbol_bits[start : start + line_size]),
+                        data=bytes(text[start : start + line_size]),
+                        is_compressed=False,
+                        bit_length=8 * line_size,
+                        symbol_bits=None,
                     )
                 )
         return blocks
@@ -224,14 +241,6 @@ class BlockCompressor:
         return b"".join(
             next(decoded) if block.is_compressed else block.data for block in blocks
         )
-
-    # ------------------------------------------------------------------
-    # Size accounting
-    # ------------------------------------------------------------------
-
-    def compressed_size(self, blocks: list[CompressedBlock]) -> int:
-        """Instruction-memory bytes occupied by the blocks themselves."""
-        return sum(block.stored_size for block in blocks)
 
     def _pad(self, encoded: bytes) -> bytes:
         if self.alignment == 1 or len(encoded) % self.alignment == 0:

@@ -29,6 +29,9 @@ from repro.compression.bitstream import BitReader, BitWriter
 #: Number of symbols: the codecs operate on program bytes.
 ALPHABET = 256
 
+#: Text bytes :meth:`HuffmanCode.encode_lines` expands to bits at a time.
+ENCODE_CHUNK_BYTES = 16384
+
 
 def _traditional_lengths(frequencies: list[int]) -> list[int]:
     """Optimal unbounded code lengths via the classic heap algorithm."""
@@ -199,25 +202,17 @@ class HuffmanCode:
             object.__setattr__(self, "_np_cache", cached)
         return cached
 
-    def _first_uncodable(self, symbols: np.ndarray, bit_lengths: np.ndarray) -> int:
-        """The first symbol (in data order) whose code length is zero."""
-        return int(symbols[np.argmax(bit_lengths == 0)])
+    def checked_bit_lengths(self, symbols: np.ndarray) -> np.ndarray:
+        """Code length of each symbol; raises for the first (in data order) without a code."""
+        bit_lengths = self._np_arrays()[0][symbols]
+        if not bit_lengths.all():
+            value = int(symbols[np.argmax(bit_lengths == 0)])
+            raise CompressionError(f"symbol {value:#04x} has no code")
+        return bit_lengths
 
     def encoded_bit_length(self, data: bytes) -> int:
-        """Exact number of bits ``data`` occupies under this code.
-
-        Vectorized as a histogram/length dot product: the bit total only
-        depends on how often each symbol occurs.
-        """
-        symbols = np.frombuffer(data, dtype=np.uint8)
-        if symbols.size == 0:
-            return 0
-        lengths, _ = self._np_arrays()
-        counts = np.bincount(symbols, minlength=ALPHABET)
-        if counts[lengths == 0].any():
-            value = self._first_uncodable(symbols, lengths[symbols])
-            raise CompressionError(f"symbol {value:#04x} has no code")
-        return int(counts @ lengths)
+        """Exact number of bits ``data`` occupies under this code."""
+        return int(self.checked_bit_lengths(np.frombuffer(data, dtype=np.uint8)).sum())
 
     def symbol_bit_lengths(self, data: bytes) -> list[int]:
         """Per-byte encoded lengths (drives the refill-decoder timing)."""
@@ -236,16 +231,13 @@ class HuffmanCode:
         :class:`BitWriter` path (property-tested), which remains as the
         fallback for codes with words longer than 64 bits.
         """
-        lengths_by_symbol, codes_by_symbol = self._np_arrays()
+        _, codes_by_symbol = self._np_arrays()
         if codes_by_symbol is None:
             return self._encode_scalar(data)
         symbols = np.frombuffer(data, dtype=np.uint8)
         if symbols.size == 0:
             return b"", 0
-        bit_lengths = lengths_by_symbol[symbols]
-        if not bit_lengths.all():
-            value = self._first_uncodable(symbols, bit_lengths)
-            raise CompressionError(f"symbol {value:#04x} has no code")
+        bit_lengths = self.checked_bit_lengths(symbols)
         ends = np.cumsum(bit_lengths)
         total_bits = int(ends[-1])
         starts = ends - bit_lengths
@@ -288,17 +280,24 @@ class HuffmanCode:
             raise CompressionError(
                 f"data length {len(data)} is not a multiple of line size {line_size}"
             )
-        lengths_by_symbol, codes_by_symbol = self._np_arrays()
+        _, codes_by_symbol = self._np_arrays()
         if codes_by_symbol is None:
             return None
+        step = max(1, ENCODE_CHUNK_BYTES // line_size) * line_size
+        if len(data) > step:
+            # The bit expansion below holds ~8 int64 arrays per encoded bit:
+            # 47 MiB for espresso's text in one pass.
+            parts = [
+                self.encode_lines(data[start : start + step], line_size)
+                for start in range(0, len(data), step)
+            ]
+            encoded = [line for lines, _ in parts for line in lines]
+            return encoded, np.concatenate([line_bits for _, line_bits in parts])
         symbols = np.frombuffer(data, dtype=np.uint8)
         line_count = symbols.size // line_size
         if line_count == 0:
             return [], np.zeros(0, dtype=np.int64)
-        bit_lengths = lengths_by_symbol[symbols]
-        if not bit_lengths.all():
-            value = self._first_uncodable(symbols, bit_lengths)
-            raise CompressionError(f"symbol {value:#04x} has no code")
+        bit_lengths = self.checked_bit_lengths(symbols)
         line_bits = bit_lengths.reshape(line_count, line_size).sum(axis=1)
         stored_bytes = (line_bits + 7) >> 3
         line_byte_starts = np.zeros(line_count, dtype=np.int64)

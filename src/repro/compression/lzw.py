@@ -15,6 +15,8 @@ for parity with the paper's measurements.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from repro.errors import CompressionError
 from repro.compression.bitstream import BitWriter
 
@@ -32,17 +34,14 @@ def _check_max_bits(max_bits: int) -> None:
         raise CompressionError(f"max_bits {max_bits} out of supported range")
 
 
-def lzw_compress(data: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
-    """Compress ``data`` with compress-style variable-width LZW."""
-    _check_max_bits(max_bits)
+def _lzw_codes(data: bytes, max_bits: int) -> Iterator[tuple[int, int]]:
+    """The ``(code, width)`` pairs compress-style LZW emits for ``data``."""
     if not data:
-        return bytes(HEADER_BYTES)
-
+        return
     table: dict[bytes, int] = {bytes([value]): value for value in range(256)}
     next_code = 256
     width = MIN_BITS
     limit = 1 << max_bits
-    writer = BitWriter()
 
     current = bytes([data[0]])
     for value in data[1:]:
@@ -50,14 +49,22 @@ def lzw_compress(data: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
         if extended in table:
             current = extended
             continue
-        writer.write(table[current], width)
+        yield table[current], width
         if next_code < limit:
             table[extended] = next_code
             next_code += 1
             if next_code > (1 << width) and width < max_bits:
                 width += 1
         current = bytes([value])
-    writer.write(table[current], width)
+    yield table[current], width
+
+
+def lzw_compress(data: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
+    """Compress ``data`` with compress-style variable-width LZW."""
+    _check_max_bits(max_bits)
+    writer = BitWriter()
+    for code, width in _lzw_codes(data, max_bits):
+        writer.write(code, width)
     return bytes(HEADER_BYTES) + writer.getvalue()
 
 
@@ -120,5 +127,7 @@ def lzw_decompress(blob: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
 
 
 def lzw_compressed_size(data: bytes, max_bits: int = DEFAULT_MAX_BITS) -> int:
-    """Size in bytes of the compress-style encoding of ``data``."""
-    return len(lzw_compress(data, max_bits))
+    """``len(lzw_compress(data, max_bits))``, summing code widths instead of writing bits."""
+    _check_max_bits(max_bits)
+    bits = sum(width for _code, width in _lzw_codes(data, max_bits))
+    return HEADER_BYTES + (bits + 7) // 8

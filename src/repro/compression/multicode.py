@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CompressionError
-from repro.compression.block import DEFAULT_LINE_SIZE
+from repro.compression.block import DEFAULT_LINE_SIZE, check_line_size
 from repro.compression.huffman import HuffmanCode
 
 
@@ -66,6 +66,7 @@ class MultiCodeCompressor:
     def __init__(self, codes: list[HuffmanCode], line_size: int = DEFAULT_LINE_SIZE) -> None:
         if not codes:
             raise CompressionError("need at least one code")
+        check_line_size(line_size)
         self.codes = list(codes)
         self.line_size = line_size
 
@@ -92,10 +93,7 @@ class MultiCodeCompressor:
         eligible code wins, and a line with none is stored as is.
         """
         lines = _line_matrix([text], self.line_size)
-        stored = np.empty((len(lines), len(self.codes)), dtype=np.int64)
-        for index, code in enumerate(self.codes):
-            gathered = np.array(code.lengths, dtype=np.int32)[lines]
-            stored[:, index] = np.where(gathered.all(1), (gathered.sum(1) + 7) // 8, self.line_size)
+        stored = self._stored_matrix(lines)
         choice = np.where(stored.min(axis=1) < self.line_size, stored.argmin(axis=1), -1)
         blocks = [MultiCodeBlock(None, line.tobytes(), 8 * self.line_size) for line in lines]
         for index, code in enumerate(self.codes):
@@ -110,6 +108,14 @@ class MultiCodeCompressor:
                 blocks[row] = MultiCodeBlock(index, data, bit_length)
         return blocks
 
+    def _stored_matrix(self, lines: np.ndarray) -> np.ndarray:
+        """``lines × codes`` stored bytes, capped at ``line_size`` (also where a byte has no word)."""
+        stored = np.empty((len(lines), len(self.codes)), dtype=np.int64)
+        for index, code in enumerate(self.codes):
+            gathered = np.array(code.lengths, dtype=np.int32)[lines]
+            stored[:, index] = np.where(gathered.all(1), (gathered.sum(1) + 7) // 8, self.line_size)
+        return np.minimum(stored, self.line_size)
+
     def decompress_block(self, block: MultiCodeBlock) -> bytes:
         if block.code_index is None:
             return block.data
@@ -119,11 +125,14 @@ class MultiCodeCompressor:
     # Accounting
     # ------------------------------------------------------------------
 
-    def compressed_size(self, blocks: list[MultiCodeBlock]) -> int:
-        """Stored bytes including the per-block tags (rounded up once)."""
-        payload = sum(block.stored_size for block in blocks)
-        tags = (len(blocks) * self.tag_bits + 7) // 8
-        return payload + tags
+    def compressed_size(self, text: bytes) -> int:
+        """Stored bytes of ``text`` including the per-block tags (rounded up once).
+
+        Each line costs its cheapest entry of the stored-size matrix; no bitstream is built.
+        """
+        lines = _line_matrix([text], self.line_size)
+        payload = int(self._stored_matrix(lines).min(axis=1).sum())
+        return payload + (len(lines) * self.tag_bits + 7) // 8
 
     def code_usage(self, blocks: list[MultiCodeBlock]) -> dict[int | None, int]:
         """How many blocks each code won (None = identity/bypass)."""
@@ -155,6 +164,7 @@ def train_code_set(
     """
     if code_count < 1:
         raise CompressionError("code_count must be at least 1")
+    check_line_size(line_size)
     lines = _line_matrix(corpus, line_size)
     if not len(lines):
         raise CompressionError("empty corpus")

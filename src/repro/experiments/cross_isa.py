@@ -76,8 +76,7 @@ class CrossISAResult:
 
 
 def _ratio(code: HuffmanCode, text: bytes) -> float:
-    blocks = BlockCompressor(code).compress_program(text)
-    return sum(block.stored_size for block in blocks) / len(text)
+    return int(BlockCompressor(code).stored_sizes(text).sum()) / len(text)
 
 
 def run_cross_isa(programs: tuple[str, ...] = FIGURE5_PROGRAMS) -> CrossISAResult:

@@ -96,24 +96,21 @@ class ExtensionsResult:
         return "\n\n".join(parts)
 
 
-def run_extensions() -> ExtensionsResult:
-    """Run all three extension studies."""
-    corpus = load_figure5_corpus()
-    texts = list(corpus.values())
-
-    # --- Extension A: multiple preselected codes ------------------------
-    multicode_rows = []
+def run_multicode(texts: list[bytes]) -> tuple[MultiCodeRow, ...]:
+    """Extension A: 1, 2 and 4 codes trained on ``texts``, sized without encoding."""
+    rows = []
     total_original = sum(len(text) for text in texts)
     for code_count in (1, 2, 4):
         codes = train_code_set(texts, code_count=code_count, refinement_rounds=2)
         compressor = MultiCodeCompressor(codes)
-        total = sum(
-            compressor.compressed_size(compressor.compress_program(text))
-            for text in texts
-        )
-        multicode_rows.append(
-            MultiCodeRow(code_count=code_count, compressed_ratio=total / total_original)
-        )
+        total = sum(compressor.compressed_size(text) for text in texts)
+        rows.append(MultiCodeRow(code_count=code_count, compressed_ratio=total / total_original))
+    return tuple(rows)
+
+
+def run_extensions() -> ExtensionsResult:
+    """Run all three extension studies."""
+    multicode_rows = run_multicode(list(load_figure5_corpus().values()))
 
     # --- Extension B: associativity -------------------------------------
     # Traces come from the studies the tables share (in memory or on disk),
@@ -154,7 +151,7 @@ def run_extensions() -> ExtensionsResult:
         )
 
     return ExtensionsResult(
-        multicode_rows=tuple(multicode_rows),
+        multicode_rows=multicode_rows,
         associativity_rows=tuple(associativity_rows),
         paging_rows=tuple(paging_rows),
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.compression.block import BlockCompressor
 from repro.compression.histogram import byte_histogram
 from repro.compression.huffman import HuffmanCode
-from repro.compression.lzw import lzw_compress
+from repro.compression.lzw import lzw_compressed_size
 from repro.core.standard import standard_code
 from repro.experiments.formats import percent, render_table
 from repro.workloads.suite import FIGURE5_PROGRAMS, load_figure5_corpus
@@ -72,8 +72,7 @@ class Figure5Result:
 
 
 def _block_compressed_bytes(code: HuffmanCode, text: bytes, charge_table: bool) -> int:
-    compressor = BlockCompressor(code)
-    stored = sum(block.stored_size for block in compressor.compress_program(text))
+    stored = int(BlockCompressor(code).stored_sizes(text).sum())
     return stored + (CODE_TABLE_BYTES if charge_table else 0)
 
 
@@ -88,7 +87,7 @@ def run_figure5(programs: tuple[str, ...] = FIGURE5_PROGRAMS) -> Figure5Result:
         histogram = byte_histogram(text)
         traditional = HuffmanCode.from_frequencies(histogram)
         bounded = HuffmanCode.from_frequencies(histogram, max_length=16)
-        lzw_bytes = len(lzw_compress(text))
+        lzw_bytes = lzw_compressed_size(text)
         traditional_bytes = _block_compressed_bytes(traditional, text, charge_table=True)
         bounded_bytes = _block_compressed_bytes(bounded, text, charge_table=True)
         preselected_bytes = _block_compressed_bytes(preselected, text, charge_table=False)

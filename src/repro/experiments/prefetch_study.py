@@ -213,8 +213,10 @@ def _exact_replay(study, config: SystemConfig) -> FetchReplay:
         btb=study.btb() if config.fetch_policy == "btb" else None,
     )
     stalls = 0
-    for address in study.execution.trace.addresses.tolist():
-        stalls += unit.fetch(address)
+    addresses = study.execution.trace.addresses
+    for start in range(0, len(addresses), 1 << 16):  # the whole list of ints is ~40 MB
+        for address in addresses[start : start + (1 << 16)].tolist():
+            stalls += unit.fetch(address)
     return FetchReplay.from_unit(unit, stalls)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import CompressionError
 from repro.compression.bitstream import BitReader, BitWriter
 from repro.compression.histogram import byte_histogram, corpus_histogram, merge_histograms
+from repro.compression import huffman
 from repro.compression.huffman import HuffmanCode
 from repro.compression.preselected import build_preselected_code
 
@@ -495,6 +496,16 @@ class TestVectorizedEncode:
             expected_bytes, expected_bits = code.encode(line)
             assert encoded_lines[index] == expected_bytes
             assert int(line_bits[index]) == expected_bits
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 100, huffman.ENCODE_CHUNK_BYTES])
+    def test_encode_lines_is_the_same_in_any_chunking(self, monkeypatch, chunk_bytes):
+        # 1250 lines: one line, three lines, and 2.4 default chunks at a time.
+        code = self._random_code(5)
+        data = bytes(random.Random(6).randbytes(40_000))
+        expected = [code.encode(data[start : start + 32]) for start in range(0, len(data), 32)]
+        monkeypatch.setattr(huffman, "ENCODE_CHUNK_BYTES", chunk_bytes)
+        encoded_lines, line_bits = code.encode_lines(data, 32)
+        assert list(zip(encoded_lines, line_bits.tolist())) == expected
 
     def test_encode_lines_rejects_ragged_input(self):
         code = self._random_code(11)

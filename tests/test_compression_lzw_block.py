@@ -21,6 +21,7 @@ from repro.compression.lzw import (
     HEADER_BYTES,
     MIN_BITS,
     lzw_compress,
+    lzw_compressed_size,
     lzw_decompress,
 )
 
@@ -61,6 +62,19 @@ class TestLZW:
     def test_max_bits_validation(self):
         with pytest.raises(CompressionError):
             lzw_compress(b"abc", max_bits=5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.binary(max_size=3000), st.integers(min_value=9, max_value=16))
+    def test_compressed_size_without_a_bitstream(self, data, max_bits):
+        assert lzw_compressed_size(data, max_bits) == len(lzw_compress(data, max_bits))
+
+    def test_compressed_size_across_width_growth_and_freeze(self):
+        data = random.Random(7).randbytes(3000)  # fills a 9-bit dictionary
+        for max_bits in (9, 10, DEFAULT_MAX_BITS):
+            assert lzw_compressed_size(data, max_bits) == len(lzw_compress(data, max_bits))
+        assert lzw_compressed_size(b"") == HEADER_BYTES
+        with pytest.raises(CompressionError):
+            lzw_compressed_size(b"abc", max_bits=8)
 
     def test_round_trip_beyond_table_freeze(self):
         # Force dictionary saturation at a small width to hit the frozen path.
@@ -315,7 +329,7 @@ class TestBlockCompressor:
         code = _code_for(b"\x00" * 100)
         compressor = BlockCompressor(code)
         blocks = compressor.compress_program(data)
-        assert compressor.compressed_size(blocks) == sum(b.stored_size for b in blocks)
+        assert int(compressor.stored_sizes(data).sum()) == sum(b.stored_size for b in blocks)
 
     @settings(max_examples=20, deadline=None)
     @given(st.binary(min_size=1, max_size=512))

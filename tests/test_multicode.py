@@ -70,8 +70,12 @@ class TestMultiCodeCompressor:
         double = MultiCodeCompressor(
             [code_for(b"".join(zeros_like)), code_for(b"".join(highs_like))]
         )
-        single_size = single.compressed_size(single.compress_program(text))
-        double_size = double.compressed_size(double.compress_program(text))
+        single_size = single.compressed_size(text)
+        double_size = double.compressed_size(text)
+        for compressor, size in ((single, single_size), (double, double_size)):
+            blocks = compressor.compress_program(text)
+            payload = sum(block.stored_size for block in blocks)
+            assert size == payload + (len(blocks) * compressor.tag_bits + 7) // 8
         assert double_size < single_size
 
     def test_tag_bits_grow_with_code_count(self, bimodal_corpus):
@@ -87,7 +91,7 @@ class TestMultiCodeCompressor:
         compressor = MultiCodeCompressor([code_for(text)])
         blocks = compressor.compress_program(text)
         payload = sum(block.stored_size for block in blocks)
-        assert compressor.compressed_size(blocks) == payload + (len(blocks) + 7) // 8
+        assert compressor.compressed_size(text) == payload + (len(blocks) + 7) // 8
 
     def test_code_usage_accounting(self, bimodal_corpus):
         zeros_like, highs_like = bimodal_corpus
@@ -101,6 +105,15 @@ class TestMultiCodeCompressor:
     def test_empty_code_list_rejected(self):
         with pytest.raises(CompressionError):
             MultiCodeCompressor([])
+
+    @pytest.mark.parametrize("line_size", [0, 3, -32])
+    def test_line_size_must_be_a_power_of_two(self, line_size):
+        code = code_for(b"\0\1")
+        message = f"^line size {line_size} is not a power of two$"
+        with pytest.raises(CompressionError, match=message):
+            MultiCodeCompressor([code], line_size=line_size)
+        with pytest.raises(CompressionError, match=message):
+            train_code_set([b"\0" * 64], line_size=line_size)
 
     def test_wrong_line_size_rejected(self, bimodal_corpus):
         zeros_like, _ = bimodal_corpus
@@ -221,6 +234,13 @@ def reference_compress_program(compressor: MultiCodeCompressor, text: bytes) -> 
     ]
 
 
+def payload_plus_tags(compressor: MultiCodeCompressor, text: bytes) -> int:
+    """Stored bytes of the blocks ``compress_program`` builds, plus their tags."""
+    blocks = compressor.compress_program(text)
+    payload = sum(block.stored_size for block in blocks)
+    return payload + (len(blocks) * compressor.tag_bits + 7) // 8
+
+
 def train_both(corpus: list[bytes], **kwargs):
     """Both trainers' code lengths, or the error both raise."""
     results = []
@@ -306,6 +326,33 @@ class TestMatchesReference:
             if blocks:
                 assert compressor.compress_line(text[:line_size].ljust(line_size, b"\0")) == blocks[0]
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), line_size=st.sampled_from([4, 8, 32]))
+    def test_compressed_size_is_the_block_payload_plus_tags(self, data, line_size):
+        # Codes trained on half a text lack words for some bytes, so some
+        # lines fall back to the identity for want of a code.
+        texts = data.draw(corpora(line_size)) or [b""]
+        samples = data.draw(st.lists(st.sampled_from(texts), min_size=1, max_size=4))
+        codes = [_code_from(sample[: len(sample) // 2 + 1], 16) for sample in samples]
+        compressor = MultiCodeCompressor(codes, line_size=line_size)
+        for text in texts:
+            assert compressor.compressed_size(text) == payload_plus_tags(compressor, text)
+
+    def test_compressed_size_counts_uncodable_lines_as_identity(self):
+        compressor = MultiCodeCompressor([_code_from(b"\1\2", 16)], line_size=8)
+        text = bytes([1, 2] * 4) + bytes([1, 2, 3, 1, 2, 1, 2, 1])  # 0x03 has no word
+        blocks = compressor.compress_program(text)
+        assert [block.code_index for block in blocks] == [0, None]
+        assert compressor.compressed_size(text) == blocks[0].stored_size + 8 + 1
+
+    def test_compressed_size_caps_a_costly_line_at_the_identity(self):
+        # 0x3c has a 61-bit word: eight of them would take 61 bytes.
+        compressor = MultiCodeCompressor([DEEP_CODE], line_size=8)
+        text = bytes(8) + bytes([0x3C] * 8)
+        blocks = compressor.compress_program(text)
+        assert [block.code_index for block in blocks] == [0, None]
+        assert compressor.compressed_size(text) == blocks[0].stored_size + 8 + 1
+
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.sampled_from([0, 0, 0, 1, 2, 200]), max_size=100).map(bytes))
     @example(bytes(8) + b"\1\2" * 4 + b"\xc8")  # one line for each code and the identity
@@ -317,6 +364,7 @@ class TestMatchesReference:
         assert blocks == reference_compress_program(compressor, text)
         restored = b"".join(compressor.decompress_block(block) for block in blocks)
         assert restored[: len(text)] == text
+        assert compressor.compressed_size(text) == payload_plus_tags(compressor, text)
 
     def test_empty_text_compresses_to_no_blocks(self):
         compressor = MultiCodeCompressor([code_for(b"\0\1")])
