@@ -127,7 +127,7 @@ class DecoderModel:
             decode_done = first + -(-line_bytes // rate)
             cycles[compressed] = np.maximum(decode_done, fetch_done[compressed])
             return cycles
-        bits_consumed = np.cumsum(arrays.symbol_bits, axis=1)
+        bits_consumed = np.cumsum(arrays.symbol_bits, axis=1, dtype=np.int64)
         input_byte = (bits_consumed + 7) >> 3
         available = first + ((input_byte - 1) // bus) * nxt
         slack = available * rate - np.arange(1, line_bytes + 1, dtype=np.int64)

@@ -9,6 +9,8 @@ with one vectorised gather.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.ccrp.decoder import DecoderModel
@@ -60,6 +62,12 @@ class RefillEngine:
     def fetched_bytes_per_line(self) -> np.ndarray:
         """Bus bytes fetched to refill each static line on the CCRP."""
         return self._fetched_bytes
+
+    @cached_property
+    def line_tables(self) -> tuple[list[int], list[int]]:
+        """:attr:`ccrp_refill_cycles` and :attr:`fetched_bytes_per_line` as
+        lists of Python ints, for per-miss lookups (the prefetch core)."""
+        return self._ccrp_cycles.tolist(), self._fetched_bytes.tolist()
 
     @property
     def lat_fetch_cycles(self) -> int:

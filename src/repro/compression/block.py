@@ -12,6 +12,7 @@ block ever grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -63,9 +64,10 @@ class BlockArrays:
     Attributes:
         stored_sizes: Stored bytes of every block, in block order.
         compressed: Boolean mask of blocks that went through the encoder.
-        symbol_bits: Per-byte encoded bit lengths of the *compressed*
-            blocks only, one row per block in block order — rectangular
-            because every compressed block covers exactly one full line.
+        symbol_bits: Per-byte encoded bit lengths (``uint8``) of the
+            *compressed* blocks only, one row per block in block order —
+            rectangular because every compressed block covers exactly one
+            full line.
     """
 
     stored_sizes: np.ndarray
@@ -78,9 +80,10 @@ def build_block_arrays(
 ) -> BlockArrays:
     """Build the columnar view of a block sequence.
 
-    Block-bounded compression always produces full-line blocks, so a
-    compressed block without exactly ``line_size`` symbol lengths only
-    arises in a hand-built block list; it raises
+    Block-bounded compression always produces full-line blocks whose
+    code lengths fit a byte, so a compressed block without exactly
+    ``line_size`` symbol lengths, or with one over 255 bits, only arises
+    in a hand-built block list; it raises
     :class:`~repro.errors.CompressionError` naming the first such block.
     """
     count = len(blocks)
@@ -98,13 +101,20 @@ def build_block_arrays(
                     f"block {index}: compressed block lacks {line_size} symbol bit lengths"
                 )
             rows.append(block.symbol_bits)
-    symbol_bits = (
-        np.array(rows, dtype=np.int64)
-        if rows
-        else np.zeros((0, line_size), dtype=np.int64)
-    )
+    # One gather of every compressed block's code lengths, one reshape.
+    lengths = np.fromiter(
+        chain.from_iterable(rows), dtype=np.int64, count=len(rows) * line_size
+    ).reshape(len(rows), line_size)
+    unfit = ((lengths < 0) | (lengths > 255)).any(axis=1)
+    if unfit.any():
+        index = int(np.flatnonzero(compressed)[np.argmax(unfit)])
+        raise CompressionError(
+            f"block {index}: symbol bit length outside 0..255 (symbol_bits is uint8)"
+        )
     return BlockArrays(
-        stored_sizes=stored_sizes, compressed=compressed, symbol_bits=symbol_bits
+        stored_sizes=stored_sizes,
+        compressed=compressed,
+        symbol_bits=lengths.astype(np.uint8),
     )
 
 

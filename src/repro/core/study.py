@@ -26,9 +26,10 @@ from repro.lat.entry import ENTRY_BYTES, LINES_PER_ENTRY
 from repro.memsys.models import get_memory_model
 from repro.pipeline.datapath import PipelineResult
 from repro.pipeline.frontend import (
+    MissEvents,
     baseline_critical_word_cycles,
     ccrp_critical_word_cycles,
-    miss_mask,
+    miss_events,
 )
 from repro.pipeline.hazards import HazardModel, R2000_HAZARDS
 from repro.pipeline.timeline import BlockTable, replay_trace
@@ -92,7 +93,7 @@ class ProgramStudy:
         self._clb_curves: dict[int, np.ndarray] = {}
         self._engines: dict[str, RefillEngine] = {}
         self._pipeline_replay: PipelineResult | None = None
-        self._miss_addresses: dict[int, np.ndarray] = {}
+        self._miss_events: dict[int, MissEvents] = {}
         self._prefetch_replays: dict[tuple, "FetchReplay"] = {}
         self._btb = None
 
@@ -258,7 +259,7 @@ class ProgramStudy:
 
                 def _replay() -> FetchReplay:
                     return simulate_fetch_stream(
-                        self.execution.trace.addresses,
+                        self.miss_events(config.cache_bytes),
                         config.cache_bytes,
                         self.image.line_size,
                         get_memory_model(config.memory),
@@ -275,6 +276,22 @@ class ProgramStudy:
             self._prefetch_replays[key] = replay
         return replay
 
+    def miss_events(self, cache_bytes: int) -> MissEvents:
+        """Position and line of every instruction-cache miss (memoised).
+
+        The miss stream is policy-independent, so every prefetch replay
+        and :meth:`miss_addresses` of one cache size share one
+        extraction.  Not disk cached: the replays that read it are.
+        """
+        events = self._miss_events.get(cache_bytes)
+        if events is None:
+            with METRICS.stage("study.miss_events"):
+                events = miss_events(
+                    self.execution.trace.addresses, cache_bytes, self.image.line_size
+                )
+            self._miss_events[cache_bytes] = events
+        return events
+
     def miss_addresses(self, cache_bytes: int) -> np.ndarray:
         """Byte address of every missing fetch, in occurrence order.
 
@@ -282,24 +299,7 @@ class ProgramStudy:
         critical-word-first refill extension; the plain miss-line stream
         of :meth:`cache_stats` cannot provide them.
         """
-        addresses = self._miss_addresses.get(cache_bytes)
-        if addresses is None:
-            with METRICS.stage("study.miss_addresses"):
-                trace = self.execution.trace.addresses
-
-                def _compute() -> np.ndarray:
-                    mask = miss_mask(trace, cache_bytes, self.image.line_size)
-                    return trace[mask]
-
-                addresses = artifacts.get_cache().get_or_compute(
-                    "miss-addresses",
-                    _compute,
-                    *self._trace_key,
-                    cache_bytes,
-                    self.image.line_size,
-                )
-            self._miss_addresses[cache_bytes] = addresses
-        return addresses
+        return self.execution.trace.addresses[self.miss_events(cache_bytes).positions]
 
     # ------------------------------------------------------------------
     # The comparison itself

@@ -42,6 +42,18 @@ _AT = 1  # assembler temporary register ($at)
 
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
 
+#: Mnemonics whose expansion depends on the PC or on a label's address:
+#: branches (pseudo and real), jumps, and ``la``.  Every other line
+#: expands the same wherever it sits.
+_POSITION_DEPENDENT = frozenset(
+    ["la", "b", "beqz", "bnez", "blt", "bge", "bgt", "ble"]
+    + [
+        mnemonic
+        for mnemonic, spec in SPECS_BY_MNEMONIC.items()
+        if spec.operands in ("rs,rt,rel", "rs,rel", "rel", "target")
+    ]
+)
+
 
 @dataclass(frozen=True)
 class AssembledProgram:
@@ -125,9 +137,8 @@ class Assembler:
     def assemble(self, source: str) -> AssembledProgram:
         """Assemble ``source`` into a program image."""
         text_lines, data_items, labels = self._pass_one(source)
-        instructions = self._pass_two(text_lines, labels)
+        instructions, text = self._pass_two(text_lines, labels)
         data = self._emit_data(data_items, labels)
-        text = b"".join(encode_bytes(instruction) for instruction in instructions)
         return AssembledProgram(
             text=text,
             data=data,
@@ -256,17 +267,33 @@ class Assembler:
 
     def _pass_two(
         self, lines: list[_Line], labels: dict[str, int]
-    ) -> list[Instruction]:
+    ) -> tuple[list[Instruction], bytes]:
+        """Expand and encode every text line: the instructions and the text."""
         # Equal instructions share one object: a program holds (and its
         # pickle stores) one Instruction per distinct instruction.
         interned: dict[Instruction, Instruction] = {}
+        # A position-independent line is expanded and encoded once per
+        # distinct text; only successful expansions are kept, so a
+        # repeated bad line raises at its first occurrence.
+        expansions: dict[tuple[str, str], tuple[list[Instruction], bytes]] = {}
         instructions: list[Instruction] = []
+        words: list[bytes] = []
         pc = self.text_base
         for line in lines:
-            expanded = self._expand(line, pc, labels)
-            instructions.extend(interned.setdefault(item, item) for item in expanded)
-            pc += 4 * len(expanded)
-        return instructions
+            key = (line.mnemonic, line.operands)
+            expansion = expansions.get(key)
+            if expansion is None:
+                expanded = [
+                    interned.setdefault(item, item)
+                    for item in self._expand(line, pc, labels)
+                ]
+                expansion = (expanded, b"".join(map(encode_bytes, expanded)))
+                if line.mnemonic not in _POSITION_DEPENDENT:
+                    expansions[key] = expansion
+            instructions.extend(expansion[0])
+            words.append(expansion[1])
+            pc += 4 * len(expansion[0])
+        return instructions, b"".join(words)
 
     def _expand(
         self, line: _Line, pc: int, labels: dict[str, int]

@@ -31,7 +31,7 @@ from repro.pipeline.datapath import (
     PipelineResult,
     simulate_pipeline,
 )
-from repro.pipeline.frontend import FetchUnit, miss_mask
+from repro.pipeline.frontend import FetchUnit, MissEvents, miss_events, miss_mask
 from repro.pipeline.hazards import HazardModel, R2000_HAZARDS
 from repro.pipeline.timeline import BlockTable, replay_trace
 
@@ -40,6 +40,8 @@ __all__ = [
     "PipelineResult",
     "simulate_pipeline",
     "FetchUnit",
+    "MissEvents",
+    "miss_events",
     "miss_mask",
     "HazardModel",
     "R2000_HAZARDS",

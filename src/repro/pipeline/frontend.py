@@ -27,6 +27,8 @@ single-outstanding-miss simplification.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.cache.direct_mapped import _check_geometry
@@ -74,6 +76,37 @@ def miss_mask(
     mask = np.zeros(len(lines), dtype=bool)
     mask[event_positions[miss_events]] = True
     return mask
+
+
+@dataclass(frozen=True)
+class MissEvents:
+    """The misses of one fetch stream on one direct-mapped cache geometry.
+
+    Policy-independent (a prefetch-buffer hit still fills the cache), so
+    one set of events serves every prefetch replay of that geometry.
+
+    Attributes:
+        accesses: Length of the fetch stream.
+        positions: Access position of every miss, in occurrence order.
+        lines: Global line number of every miss (``int64``).
+        cache_bytes / line_size: The geometry the events belong to.
+    """
+
+    accesses: int
+    positions: np.ndarray
+    lines: np.ndarray
+    cache_bytes: int
+    line_size: int
+
+
+def miss_events(
+    addresses: np.ndarray, cache_bytes: int, line_size: int = 32
+) -> MissEvents:
+    """Extract the :class:`MissEvents` of a fetch-address stream."""
+    addresses = np.asarray(addresses)
+    positions = np.nonzero(miss_mask(addresses, cache_bytes, line_size))[0]
+    lines = addresses[positions].astype(np.int64) >> (line_size.bit_length() - 1)
+    return MissEvents(len(addresses), positions, lines, cache_bytes, line_size)
 
 
 def baseline_critical_word_cycles(memory: MemoryModel, miss_count: int) -> int:

@@ -20,12 +20,9 @@ Exports:
   whole-trace replay, byte-identical to the exact unit;
 * :class:`~repro.prefetch.predictor.StaticBTB` /
   :func:`~repro.prefetch.predictor.build_btb` — the CFG-trained
-  branch-target buffer;
-* :class:`~repro.prefetch.buffer.PrefetchBuffer` — the bounded
-  speculative-refill buffer.
+  branch-target buffer.
 """
 
-from repro.prefetch.buffer import PrefetchBuffer, PrefetchEntry
 from repro.prefetch.engine import (
     FETCH_POLICIES,
     PrefetchCore,
@@ -40,9 +37,7 @@ __all__ = [
     "DEFAULT_BTB_ENTRIES",
     "FETCH_POLICIES",
     "FetchReplay",
-    "PrefetchBuffer",
     "PrefetchCore",
-    "PrefetchEntry",
     "PrefetchingFetchUnit",
     "StaticBTB",
     "build_btb",

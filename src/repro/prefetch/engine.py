@@ -41,8 +41,8 @@ is accounted, their buffer slot evicts under pressure, and with
 ``contention=True`` an in-flight speculative decode makes a demand miss
 wait for the shared decoder port.
 
-Cache semantics are untouched: prefetched lines sit in a bounded
-side-buffer (:class:`~repro.prefetch.buffer.PrefetchBuffer`), a buffer
+Cache semantics are untouched: prefetched lines sit in a bounded FIFO
+side-buffer (the classic stream-buffer arrangement), a buffer
 hit still counts as a cache miss and fills the cache exactly as demand
 would, so the miss stream is identical across policies — the property
 the vectorized timeline (:mod:`repro.prefetch.timeline`) builds on.
@@ -50,7 +50,9 @@ the vectorized timeline (:mod:`repro.prefetch.timeline`) builds on.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import sys
+from collections import OrderedDict
+from collections.abc import Callable, Sequence
 
 from repro.ccrp.clb import CLB
 from repro.ccrp.refill import RefillEngine
@@ -58,7 +60,6 @@ from repro.errors import ConfigurationError
 from repro.lat.entry import ENTRY_BYTES, LINES_PER_ENTRY
 from repro.memsys.models import MemoryModel
 from repro.pipeline.frontend import FetchUnit
-from repro.prefetch.buffer import PrefetchBuffer, PrefetchEntry
 from repro.prefetch.predictor import StaticBTB
 
 #: The selectable fetch policies.
@@ -74,6 +75,19 @@ def validate_fetch_policy(name: str) -> str:
     return name
 
 
+class _Uniform:
+    """A per-line table with the same entry for every line (the standard
+    machine's full-line burst, which has no image to bound it)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __getitem__(self, index: int) -> int:
+        return self.value
+
+
 class PrefetchCore:
     """The per-miss state machine shared by both timing backends.
 
@@ -85,14 +99,20 @@ class PrefetchCore:
     their agreement reduces to the (property-tested) equivalence of the
     two clock constructions.
 
+    The prefetch buffer is :attr:`buffer`, an ordered map from global
+    line to the shadow-clock cycle its speculative decode finishes,
+    oldest first: inserting into a full buffer evicts the oldest entry
+    (a useless prefetch), and a demand miss pops its own line.
+
     Args:
         policy: One of :data:`FETCH_POLICIES`.
         depth: Prefetch-buffer capacity (speculative refills in flight
             or complete).
-        line_cycles: Full refill cycles of one global cache line.
-        line_bytes: Bus bytes a refill of one global line fetches.
-        valid_line: Whether a global line may be prefetched (inside the
-            image / text segment).
+        line_cycles: Full refill cycles of each line, indexed by global
+            line minus ``base_line`` (a list: one lookup per miss).
+        line_bytes: Bus bytes a refill of each line fetches, same index.
+        base_line / line_count: The global lines that may be prefetched
+            (inside the image / text segment).
         clb: CLB probed by demand *and* speculative refills (shared
             structure, so prefetch probes train and pollute it exactly
             as hardware would); ``None`` models a perfect CLB.
@@ -107,9 +127,10 @@ class PrefetchCore:
         self,
         policy: str,
         depth: int,
-        line_cycles: Callable[[int], int],
-        line_bytes: Callable[[int], int],
-        valid_line: Callable[[int], bool],
+        line_cycles: Sequence[int],
+        line_bytes: Sequence[int],
+        base_line: int,
+        line_count: int,
         clb: CLB | None = None,
         lat_penalty: int = 0,
         btb: StaticBTB | None = None,
@@ -118,14 +139,21 @@ class PrefetchCore:
         validate_fetch_policy(policy)
         if policy == "btb" and btb is None:
             raise ConfigurationError("the btb policy needs a branch-target buffer")
+        if depth < 1:
+            raise ConfigurationError(
+                f"prefetch buffer needs at least one entry, got {depth}"
+            )
         self.policy = policy
-        self.buffer = PrefetchBuffer(depth)
+        self.depth = depth
+        self.buffer: OrderedDict[int, int] = OrderedDict()
         self._line_cycles = line_cycles
         self._line_bytes = line_bytes
-        self._valid_line = valid_line
+        self._base_line = base_line
+        self._line_count = line_count
         self.clb = clb
         self.lat_penalty = lat_penalty
         self.btb = btb
+        self._predict_target = btb.predict if policy == "btb" else None
         self.contention = contention
         self._decoder_free = 0
         self.reset_counters()
@@ -152,15 +180,6 @@ class PrefetchCore:
     # The state machine
     # ------------------------------------------------------------------
 
-    def _probe_clb(self, line: int) -> int:
-        """Probe the CLB for ``line``'s LAT entry; returns the penalty."""
-        if self.clb is None:
-            return 0
-        if self.clb.access(line // LINES_PER_ENTRY):
-            return 0
-        self.traffic_bytes += ENTRY_BYTES
-        return self.lat_penalty
-
     def on_miss(self, now: int, line: int, is_resident: Callable[[int], bool]) -> int:
         """Service one demand miss at shadow time ``now``; returns stall.
 
@@ -169,71 +188,72 @@ class PrefetchCore:
         caller updates the cache with the missing line itself, exactly
         as the demand policy would.
         """
-        entry = self.buffer.pop(line)
-        penalty = self._probe_clb(line)
-        self.clb_penalty_cycles += penalty
-        demand_cost = self._line_cycles(line) + penalty
-        if entry is not None:
-            residual = entry.finish_time - now
-            if residual <= demand_cost:
-                # Covered (fully or partially): pay only what is left of
-                # the speculative decode; the line's bytes were already
-                # fetched at issue, so no new line traffic.
-                self.useful += 1
-                stall = max(0, residual)
-                if stall:
-                    self.partial += 1
-                self.covered_stall_cycles += demand_cost - stall
-                self._issue_prefetches(now + stall, line, is_resident)
-                return stall
-            # Still queued behind other speculative work: abandon it and
-            # decode on demand (a covered miss never costs more than an
-            # uncovered one).  The speculative fetch was wasted traffic.
-            self.useless += 1
-            self.wasted_traffic_bytes += self._entry_traffic(entry)
-        stall = demand_cost
-        if self.contention:
-            stall += max(0, self._decoder_free - now)
-            self._decoder_free = now + stall
-        self.traffic_bytes += self._line_bytes(line)
-        self._issue_prefetches(now + stall, line, is_resident)
-        return stall
-
-    def _entry_traffic(self, entry: PrefetchEntry) -> int:
-        return self._line_bytes(entry.line)
-
-    def _predictions(self, line: int) -> list[int]:
-        if self.policy == "demand":
-            return []
-        predictions = [line + 1]
-        if self.policy == "btb":
-            target = self.btb.predict(line)
-            if target is not None and target not in (line, line + 1):
-                predictions.append(target)
-        return predictions
-
-    def _issue_prefetches(
-        self, done: int, line: int, is_resident: Callable[[int], bool]
-    ) -> None:
-        """Start speculative refills once the demand miss completes."""
-        for predicted in self._predictions(line):
-            if not self._valid_line(predicted):
-                continue
-            if predicted in self.buffer or is_resident(predicted):
-                continue
-            penalty = self._probe_clb(predicted)
-            duration = self._line_cycles(predicted) + penalty
-            start = max(done, self._decoder_free)
-            finish = start + duration
-            self._decoder_free = finish
-            self.traffic_bytes += self._line_bytes(predicted)
-            evicted = self.buffer.insert(
-                PrefetchEntry(line=predicted, issue_time=done, finish_time=finish)
-            )
-            self.issued += 1
-            if evicted is not None:
+        buffer = self.buffer
+        cycles = self._line_cycles
+        fetched = self._line_bytes
+        base = self._base_line
+        clb = self.clb
+        finish = buffer.pop(line, None)
+        index = line - base
+        demand_cost = cycles[index]
+        if clb is not None and not clb.access(line // LINES_PER_ENTRY):
+            self.traffic_bytes += ENTRY_BYTES
+            self.clb_penalty_cycles += self.lat_penalty
+            demand_cost += self.lat_penalty
+        if finish is not None and finish - now <= demand_cost:
+            # Covered (fully or partially): pay only what is left of the
+            # speculative decode; the line's bytes were already fetched
+            # at issue, so no new line traffic.
+            stall = finish - now if finish > now else 0
+            self.useful += 1
+            if stall:
+                self.partial += 1
+            self.covered_stall_cycles += demand_cost - stall
+        else:
+            if finish is not None:
+                # Still queued behind other speculative work: abandon it
+                # and decode on demand (a covered miss never costs more
+                # than an uncovered one).  Its fetch was wasted traffic.
                 self.useless += 1
-                self.wasted_traffic_bytes += self._entry_traffic(evicted)
+                self.wasted_traffic_bytes += fetched[index]
+            stall = demand_cost
+            if self.contention:
+                if self._decoder_free > now:
+                    stall += self._decoder_free - now
+                self._decoder_free = now + stall
+            self.traffic_bytes += fetched[index]
+        if self.policy == "demand":
+            return stall
+
+        # Start speculative refills of the predicted lines once the
+        # demand miss completes: the fall-through line, then (btb) the
+        # line a control transfer in this one redirects fetch to.
+        done = now + stall
+        predictions: tuple[int, ...] = (line + 1,)
+        if self._predict_target is not None:
+            target = self._predict_target(line)
+            if target is not None and target != line and target != line + 1:
+                predictions = (line + 1, target)
+        for predicted in predictions:
+            index = predicted - base
+            if not 0 <= index < self._line_count:
+                continue
+            if predicted in buffer or is_resident(predicted):
+                continue
+            duration = cycles[index]
+            if clb is not None and not clb.access(predicted // LINES_PER_ENTRY):
+                self.traffic_bytes += ENTRY_BYTES
+                duration += self.lat_penalty
+            start = done if done > self._decoder_free else self._decoder_free
+            self._decoder_free = start + duration
+            self.traffic_bytes += fetched[index]
+            self.issued += 1
+            if len(buffer) >= self.depth:
+                evicted, _ = buffer.popitem(last=False)
+                self.useless += 1
+                self.wasted_traffic_bytes += fetched[evicted - base]
+            buffer[predicted] = start + duration
+        return stall
 
     # ------------------------------------------------------------------
     # Accounting views
@@ -281,33 +301,29 @@ def build_core(
 
     Both timing backends build their core here, so the per-line cost
     and validity rules cannot drift between the exact replay and the
-    vectorized timeline.
+    vectorized timeline.  A CCRP core reads the refill engine's
+    :attr:`~repro.ccrp.refill.RefillEngine.line_tables`, listed once per
+    engine.
     """
     if refill is not None:
+        line_cycles, line_bytes = refill.line_tables
         base_line = refill.image.text_base // line_size
-        cycles = refill.ccrp_refill_cycles
-        bytes_table = refill.fetched_bytes_per_line
-        line_cycles = lambda g: int(cycles[g - base_line])  # noqa: E731
-        line_bytes = lambda g: int(bytes_table[g - base_line])  # noqa: E731
-        valid = lambda g: 0 <= g - base_line < len(cycles)  # noqa: E731
+        line_count = len(line_cycles)
         lat_penalty = refill.lat_fetch_cycles
     else:
-        burst = memory.bytes_read_cycles(line_size)
-        fetched = memory.beats_for_bytes(line_size) * memory.bus_bytes
-        line_cycles = lambda g: burst  # noqa: E731
-        line_bytes = lambda g: fetched  # noqa: E731
-        if prefetch_bounds is not None:
-            base_line, count = prefetch_bounds
-            valid = lambda g: 0 <= g - base_line < count  # noqa: E731
-        else:
-            valid = lambda g: g >= 0  # noqa: E731
+        line_cycles = _Uniform(memory.bytes_read_cycles(line_size))
+        line_bytes = _Uniform(memory.beats_for_bytes(line_size) * memory.bus_bytes)
+        base_line, line_count = (
+            prefetch_bounds if prefetch_bounds is not None else (0, sys.maxsize)
+        )
         lat_penalty = 0
     return PrefetchCore(
         policy=policy,
         depth=depth,
         line_cycles=line_cycles,
         line_bytes=line_bytes,
-        valid_line=valid,
+        base_line=base_line,
+        line_count=line_count,
         clb=clb,
         lat_penalty=lat_penalty,
         btb=btb,

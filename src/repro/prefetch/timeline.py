@@ -7,9 +7,10 @@ buffer hit still fills the cache exactly as a demand miss would, so the
 *miss stream is policy-independent*) to reduce the work to the miss
 events:
 
-1. the per-access miss mask comes from the same vectorized
-   direct-mapped kernel the demand timeline uses
-   (:func:`repro.pipeline.frontend.miss_mask`);
+1. the miss events (position and line of every miss) come from the
+   same vectorized direct-mapped kernel the demand timeline uses
+   (:func:`repro.pipeline.frontend.miss_events`), once per stream and
+   geometry: every policy replays the same events;
 2. the shadow-clock arrival of miss *i* at access position ``p_i`` is
    ``p_i + sum(stalls before i)`` — each hit advances the clock exactly
    one cycle, so hits never need to be walked;
@@ -33,8 +34,9 @@ import numpy as np
 from repro.cache.direct_mapped import _check_geometry
 from repro.ccrp.clb import CLB
 from repro.ccrp.refill import RefillEngine
+from repro.errors import ConfigurationError
 from repro.memsys.models import MemoryModel, get_memory_model
-from repro.pipeline.frontend import FetchUnit, miss_mask
+from repro.pipeline.frontend import FetchUnit, MissEvents, miss_events
 from repro.prefetch.engine import build_core
 from repro.prefetch.predictor import StaticBTB
 
@@ -140,7 +142,7 @@ class FetchReplay:
 
 
 def simulate_fetch_stream(
-    addresses: np.ndarray,
+    addresses: np.ndarray | MissEvents,
     cache_bytes: int,
     line_size: int,
     memory: MemoryModel | str,
@@ -157,10 +159,23 @@ def simulate_fetch_stream(
     Same machine-model arguments as
     :class:`~repro.prefetch.engine.PrefetchingFetchUnit`; the result is
     byte-identical to driving that unit access-by-access over
-    ``addresses``.
+    ``addresses``.  The replay runs over the stream's miss events, so a
+    caller replaying one stream under many policies may pass its
+    :class:`~repro.pipeline.frontend.MissEvents` (extracted once for
+    this geometry) in place of the addresses.
     """
     memory = get_memory_model(memory)
     num_sets = _check_geometry(cache_bytes, line_size)
+    if isinstance(addresses, MissEvents):
+        events = addresses
+        if (events.cache_bytes, events.line_size) != (cache_bytes, line_size):
+            raise ConfigurationError(
+                f"miss events of a {events.cache_bytes} B cache with "
+                f"{events.line_size} B lines replayed as {cache_bytes} B / "
+                f"{line_size} B"
+            )
+    else:
+        events = miss_events(addresses, cache_bytes, line_size)
     core = build_core(
         policy,
         prefetch_depth,
@@ -172,28 +187,23 @@ def simulate_fetch_stream(
         contention=contention,
         prefetch_bounds=prefetch_bounds,
     )
-    addresses = np.asarray(addresses)
-    accesses = len(addresses)
-    if accesses == 0:
-        return FetchReplay.from_core(core, accesses=0, misses=0, stalls=0)
-
-    mask = miss_mask(addresses, cache_bytes, line_size)
-    shift = line_size.bit_length() - 1
-    positions = np.nonzero(mask)[0]
-    miss_lines = (np.asarray(addresses, dtype=np.int64) >> shift)[positions]
 
     resident: list[int | None] = [None] * num_sets
 
     def is_resident(line: int) -> bool:
         return resident[line % num_sets] == line
 
+    on_miss = core.on_miss
     total_stall = 0
-    for position, line in zip(positions.tolist(), miss_lines.tolist()):
+    for position, line in zip(events.positions.tolist(), events.lines.tolist()):
         # Same update order as the stateful unit: the missing line is
         # resident by the time the core suppresses redundant prefetches.
         resident[line % num_sets] = line
-        total_stall += core.on_miss(position + total_stall, line, is_resident)
+        total_stall += on_miss(position + total_stall, line, is_resident)
 
     return FetchReplay.from_core(
-        core, accesses=accesses, misses=len(positions), stalls=total_stall
+        core,
+        accesses=events.accesses,
+        misses=len(events.positions),
+        stalls=total_stall,
     )

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.workloads.rng import rng_for, weighted_choice
 
@@ -161,16 +162,21 @@ class CodeGenerator:
                 break
             # Calls may only target functions that actually get emitted,
             # i.e. this one and its predecessors.
-            body = self._static_function(
+            body, body_words = self._static_function(
                 function_names[index], function_names[: index + 1], budget
             )
             lines.append(body)
-            words += _count_words(body)
+            words += body_words
             index += 1
         return "\n".join(lines)
 
-    def _static_function(self, name: str, pool: list[str], budget: int) -> str:
+    def _static_function(
+        self, name: str, pool: list[str], budget: int
+    ) -> tuple[str, int]:
         """One library function of exactly min(budget, ~gauss(mean)) words.
+
+        Returns the source and that word count (every line it emits is
+        one machine word).
 
         Bodies are assembled from a Zipf-reused pool of concrete
         instruction *phrases* rather than independent random instructions:
@@ -194,7 +200,7 @@ class CodeGenerator:
             rng.sample(range(max(1, body_words)), k=max(1, body_words // 12))
         )
         labels = [f"{name}_L{j}" for j in range(len(label_slots))]
-        phrases, weights = self._phrase_pool()
+        phrases, cum_weights = self._phrase_pool()
         wild = self.personality.wild_constants
         slot_cursor = 0
         position = 0
@@ -225,7 +231,7 @@ class CodeGenerator:
                 out.append(f"    ori {register}, {register}, {rng.randrange(1 << 16):#x}")
                 position += 2
             else:
-                phrase = rng.choices(phrases, weights)[0]
+                phrase = rng.choices(phrases, cum_weights=cum_weights)[0]
                 for instruction in phrase[:remaining]:
                     out.append(f"    {instruction}")
                 position += min(len(phrase), remaining)
@@ -235,15 +241,17 @@ class CodeGenerator:
         out.append(f"    addiu $sp, $sp, {frame}")
         out.append("    jr $ra")
         out.append("    nop")
-        return "\n".join(out)
+        return "\n".join(out), size
 
     def _phrase_pool(self) -> tuple[list[list[str]], list[float]]:
-        """The personality's concrete phrase pool with Zipf reuse weights."""
+        """The personality's concrete phrase pool with cumulative Zipf
+        reuse weights (accumulated once, exactly as ``rng.choices``
+        would accumulate plain weights on every draw)."""
         cached = getattr(self, "_phrases_cache", None)
         if cached is None:
             phrases = [self._make_phrase() for _ in range(560)]
             weights = [1.0 / (rank + 24) for rank in range(len(phrases))]
-            cached = (phrases, weights)
+            cached = (phrases, list(accumulate(weights)))
             self._phrases_cache = cached
         return cached
 

@@ -299,6 +299,56 @@ class TestAssemblerErrors:
         with pytest.raises(AssemblerError):
             Assembler(text_base=2)
 
+    def test_repeated_bad_line_reports_its_first_occurrence(self):
+        with pytest.raises(AssemblerError, match="^line 2:") as raised:
+            assemble("nop\naddiu $t0, $t1, 0x8000\nnop\naddiu $t0, $t1, 0x8000\n")
+        assert raised.value.line_number == 2
+
+
+class TestRepeatedLines:
+    """Pass two expands a position-independent line once per distinct
+    text; lines whose encoding depends on the PC or a label never share."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "b target",
+            "beq $t0, $t1, target",
+            "bnez $t0, target",
+            "blt $t0, $t1, target",
+            "la $t0, target",
+            "j target",
+            "jal target",
+        ],
+    )
+    def test_position_dependent_line_encodes_as_at_its_own_pc(self, line):
+        program = assemble(
+            f"main:\n    {line}\n    nop\n    nop\n    {line}\n    nop\ntarget:\n    nop\n"
+        )
+        size = 8 if line.startswith(("blt", "la")) else 4
+        absolute = line.replace("target", hex(program.labels["target"]))
+        for pc in (0, size + 8):
+            fresh = Assembler(text_base=pc).assemble(absolute)
+            assert program.text[pc : pc + size] == fresh.text, (line, pc)
+
+    def test_branch_offsets_differ_between_occurrences(self):
+        program = assemble("bnez $t0, end\nnop\nbnez $t0, end\nend: nop\n")
+        assert program.instructions[0].imm_signed == 2
+        assert program.instructions[2].imm_signed == 0
+
+    def test_equal_instructions_stay_one_object(self):
+        program = assemble(
+            "addu $t0, $t1, $t2\n"
+            "addu $8, $9, $10\n"  # the same instruction, spelt differently
+            "addu $t0, $t1, $t2\n"
+            "x: b x\n"
+            "y: b y\n"  # position dependent, equal offset
+        )
+        first, spelt, again, branch, other = program.instructions
+        assert first is spelt is again
+        assert branch is other
+        assert first is not branch
+
 
 class TestDisassembler:
     def test_round_trip_through_text(self):

@@ -222,6 +222,43 @@ class TestRefillTables:
         assert engine.ccrp_refill_cycles.tolist() == cycles
         assert engine.fetched_bytes_per_line.tolist() == fetched
 
+    @pytest.mark.parametrize("memory", MEMORIES, ids=lambda m: m.name)
+    @pytest.mark.parametrize("detailed", (False, True), ids=("paper", "detailed"))
+    @pytest.mark.parametrize("line_size", (32, 64))
+    def test_table_matches_per_block_loop_for_unbounded_code(
+        self, memory, detailed, line_size
+    ):
+        # A traditional (unbounded) code on a Fibonacci-skewed histogram has
+        # code words of up to ~40 bits: uint8 symbol_bits, but line sums and
+        # cumulative bit positions beyond a byte (up to 504 bits in a
+        # compressed 64-byte line).
+        frequencies = [0] * 256
+        a, b = 1, 1
+        for symbol in range(40, 0, -1):
+            frequencies[symbol] = a
+            a, b = b, a + b
+        frequencies[0] = b
+        code = HuffmanCode.from_frequencies(frequencies)
+        assert max(code.symbol_bit_lengths(bytes(range(1, 41)))) > 32
+        # Rare symbols at the end of a line: their input arrives last, so
+        # they set the detailed decode's finish time.
+        rng = random.Random(5)
+        text = bytearray(64 * line_size)
+        for line in range(64):
+            end = (line + 1) * line_size
+            for offset in range(1, line % (line_size // 8) + 1):
+                text[end - offset] = rng.randrange(31, 41)  # the rarest symbols
+        # Blocks, not an image: the LAT format only describes 32-byte lines.
+        blocks = BlockCompressor(code, line_size=line_size).compress_program(bytes(text))
+        arrays = build_block_arrays(blocks, line_size)
+        assert arrays.compressed.sum() > 32
+        if line_size == 64:  # some compressed line overflows a byte accumulator
+            assert arrays.symbol_bits.astype(int).sum(axis=1).max() > 255
+        # A fast decoder waits on input, so bit positions set the finish time.
+        decoder = DecoderModel(bytes_per_cycle=4, detailed=detailed)
+        table = decoder.refill_cycles_table(arrays, memory)
+        assert table.tolist() == [decoder.refill_cycles(block, memory) for block in blocks]
+
     def test_engine_rejects_non_uniform_image(self, image):
         first = next(i for i, block in enumerate(image.blocks) if block.is_compressed)
         with pytest.raises(CompressionError, match=f"^block {first}:"):
@@ -384,6 +421,21 @@ class TestImageBatchPlumbing:
         for block in image.blocks:
             if block.is_compressed:
                 assert next(rows).tolist() == list(block.symbol_bits)
+
+    def test_block_arrays_keep_symbol_bits_as_bytes(self, image):
+        arrays = image.block_arrays()
+        assert arrays.symbol_bits.dtype == np.uint8
+        assert arrays.symbol_bits.shape == (arrays.compressed.sum(), image.line_size)
+
+    def test_build_block_arrays_rejects_lengths_over_a_byte(self, image):
+        compressed = [i for i, block in enumerate(image.blocks) if block.is_compressed]
+        blocks = list(image.blocks)
+        long = blocks[compressed[1]]
+        blocks[compressed[1]] = dataclasses.replace(
+            long, symbol_bits=(256,) + long.symbol_bits[1:]
+        )
+        with pytest.raises(CompressionError, match=f"^block {compressed[1]}:"):
+            build_block_arrays(blocks, image.line_size)
 
     def test_expanded_lines_match_scalar_decode(self, image):
         lines = image.expanded_lines()

@@ -19,15 +19,14 @@ from repro.core.config import SystemConfig
 from repro.errors import ConfigurationError
 from repro.isa import Assembler
 from repro.memsys import EPROM
-from repro.pipeline import FetchUnit
+from repro.pipeline import FetchUnit, miss_events
 from repro.prefetch import (
     FETCH_POLICIES,
     FetchReplay,
-    PrefetchBuffer,
-    PrefetchEntry,
     PrefetchingFetchUnit,
     StaticBTB,
     build_btb,
+    build_core,
     simulate_fetch_stream,
     validate_fetch_policy,
 )
@@ -208,36 +207,76 @@ def test_counters_reconcile(addresses, policy, data):
 
 def test_real_workload_ccrp_equivalence():
     """Exact == timeline with the full CCRP machinery (refill + CLB) on a
-    real trace prefix, for every policy."""
+    real trace prefix, for every memory model and policy; the timeline
+    replays one set of miss events per trace, as the study does."""
     from repro.core.artifacts import get_study
 
     for name, prefix, clb_entries in (("eightq", 30_000, 8), ("lloop01", 60_000, 16)):
         study = get_study(name)
         addresses = study.execution.trace.addresses[:prefix]
-        engine = study.refill_engine("sc_dram", SystemConfig().decoder)
-        for policy in FETCH_POLICIES:
-            btb = study.btb() if policy == "btb" else None
-            unit = PrefetchingFetchUnit(
-                256,
-                "sc_dram",
-                refill=engine,
-                clb=CLB(entries=clb_entries),
-                policy=policy,
-                btb=btb,
-            )
-            stalls = sum(unit.fetch(int(address)) for address in addresses)
-            exact = FetchReplay.from_unit(unit, stalls)
-            timeline = simulate_fetch_stream(
-                addresses,
-                256,
-                32,
-                "sc_dram",
-                refill=engine,
-                clb=CLB(entries=clb_entries),
-                policy=policy,
-                btb=btb,
-            )
-            assert exact == timeline, (name, policy)
+        events = miss_events(addresses, 256, 32)
+        for memory in ("eprom", "burst_eprom", "sc_dram"):
+            engine = study.refill_engine(memory, SystemConfig().decoder)
+            for policy in FETCH_POLICIES:
+                btb = study.btb() if policy == "btb" else None
+                unit = PrefetchingFetchUnit(
+                    256,
+                    memory,
+                    refill=engine,
+                    clb=CLB(entries=clb_entries),
+                    policy=policy,
+                    btb=btb,
+                )
+                stalls = sum(unit.fetch(address) for address in addresses.tolist())
+                exact = FetchReplay.from_unit(unit, stalls)
+                timeline = simulate_fetch_stream(
+                    events,
+                    256,
+                    32,
+                    memory,
+                    refill=engine,
+                    clb=CLB(entries=clb_entries),
+                    policy=policy,
+                    btb=btb,
+                )
+                assert exact == timeline, (name, memory, policy)
+
+
+def test_fetch_replay_fields_are_python_ints():
+    """Neither backend leaks numpy scalars into a replay (they would
+    pickle, compare and serialise differently)."""
+    from repro.core.artifacts import get_study
+
+    study = get_study("eightq")
+    addresses = study.execution.trace.addresses[:20_000]
+    engine = study.refill_engine("sc_dram", SystemConfig().decoder)
+    unit = PrefetchingFetchUnit(
+        256, "sc_dram", refill=engine, clb=CLB(entries=8), policy="nextline"
+    )
+    stalls = sum(unit.fetch(address) for address in addresses.tolist())
+    replays = (
+        FetchReplay.from_unit(unit, stalls),
+        simulate_fetch_stream(
+            addresses,
+            256,
+            32,
+            "sc_dram",
+            refill=engine,
+            clb=CLB(entries=8),
+            policy="nextline",
+        ),
+        simulate_fetch_stream(addresses, 256, 32, EPROM, policy="nextline"),
+    )
+    for replay in replays:
+        for field, value in vars(replay).items():
+            expected = str if field == "policy" else int
+            assert type(value) is expected, (field, type(value))
+
+
+def test_miss_events_must_match_the_geometry():
+    events = miss_events(np.arange(0, 4096, 4), 256, 32)
+    with pytest.raises(ConfigurationError):
+        simulate_fetch_stream(events, 512, 32, EPROM)
 
 
 # ----------------------------------------------------------------------
@@ -289,26 +328,31 @@ class TestStaticBTB:
 
 
 class TestPrefetchBuffer:
+    """The core's bounded FIFO buffer (line -> decode finish cycle)."""
+
+    @staticmethod
+    def _core(depth: int):
+        return build_core("nextline", depth, EPROM, 32)
+
     def test_fifo_eviction(self):
-        buffer = PrefetchBuffer(depth=2)
-        first = PrefetchEntry(line=1, issue_time=0, finish_time=10)
-        buffer.insert(first)
-        buffer.insert(PrefetchEntry(line=2, issue_time=1, finish_time=11))
-        evicted = buffer.insert(PrefetchEntry(line=3, issue_time=2, finish_time=12))
-        assert evicted == first
-        assert 1 not in buffer and 2 in buffer and 3 in buffer
+        core = self._core(depth=2)
+        for line in (0, 10, 20):  # each miss prefetches its next line
+            core.on_miss(0, line, lambda predicted: False)
+        assert list(core.buffer) == [11, 21]
+        assert (core.issued, core.useless) == (3, 1)
+        assert core.wasted_traffic_bytes == 32
 
     def test_pop_removes(self):
-        buffer = PrefetchBuffer(depth=2)
-        entry = PrefetchEntry(line=5, issue_time=0, finish_time=9)
-        buffer.insert(entry)
-        assert buffer.pop(5) == entry
-        assert buffer.pop(5) is None
-        assert len(buffer) == 0
+        core = self._core(depth=2)
+        core.on_miss(0, 5, lambda predicted: False)
+        assert list(core.buffer) == [6]
+        core.on_miss(1000, 6, lambda predicted: False)  # covered: pops line 6
+        assert list(core.buffer) == [7]
+        assert (core.useful, core.partial) == (1, 0)
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            PrefetchBuffer(depth=0)
+            self._core(depth=0)
 
 
 # ----------------------------------------------------------------------

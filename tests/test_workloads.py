@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -103,6 +105,79 @@ class TestCodeGenerator:
         assert Assembler().assemble(source).size == 65536
 
 
+#: SHA-256 of every suite workload's assembled (text, data) segments.
+ASSEMBLED_SHA256 = {
+    "crc32": (
+        "c2c22b9ac4c05268dfb02d3b555963f5fa90edacf7f03605e00bdffc8e399bb8",
+        "5341e6b2646979a70e57653007a1f310169421ec9bdd9f1a5648f75ade005af1",
+    ),
+    "eightq": (
+        "35c89d9649c893d7c2064718ad045d52196e49b624222899e78a8d770480c669",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "espresso": (
+        "91879f389882f946b45113ceb7f973e062cc02db9ee5308f78add33ddceb3ab7",
+        "64f0423e6b5f0eb5bf3f440ae43fe0f947efec02e3c792d6e1252c7430d0f98b",
+    ),
+    "fib": (
+        "572394fd769511c4a679f24a6c12a181f0e0fe916c64696a5ec33e8fcfbc54ed",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "fpppp": (
+        "86358444d293eb12ca0b6e91e03267108055ede8d0d453d8b4b587dd6d23de87",
+        "ad7facb2586fc6e966c004d7d1d16b024f5805ff7cb47c7a85dabd8b48892ca7",
+    ),
+    "lloop01": (
+        "63f9fba0e1d60ba07663f1c8e410f9c63698ad0d5750e18ea2177abbcd943b2f",
+        "1a05ba08516b4cfc9b36beb94687e233946fb6c147550cb848aef37fbb520a2b",
+    ),
+    "matrix25a": (
+        "d1504bdef89ffa8ee57263dd5219b007fd8690e557a155d12775f516f379bc14",
+        "ca621dc5d65aa2f4f43a97eb03c35dda8b399c8e48077e6c8ea185960ba0f20e",
+    ),
+    "nasa1": (
+        "fe48480e5d180eeed1423aef18b9e89fbe83b4b4130c8a819dbc048496f13214",
+        "278066d9760248c101e4b201907e4dcb3c2b06fa0da04457651d3edf57716bbe",
+    ),
+    "nasa7": (
+        "d5ced45031e0f770ce405a40cd1ce2d39f25a434b9f10b94318c337f319cdcc0",
+        "278066d9760248c101e4b201907e4dcb3c2b06fa0da04457651d3edf57716bbe",
+    ),
+    "pswarp": (
+        "6bb9352efda3c88d9d180d3a96c7eabb933615b1fa0b6fb800cbb105d5aae75e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "qsort": (
+        "26e5fdc84a98a927094f7b7c5c603adb3d214d80d00a0d1ddca6d119633d9611",
+        "5f70bf18a086007016e948b04aed3b82103a36bea41755b6cddfaf10ace3c6ef",
+    ),
+    "spim": (
+        "295bc2e9a2b27cc229fcf284a406c1312cfe623e291f5d169f4fb18bc2086365",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "tex": (
+        "cecc3f41ae758cb402c8e55de110218414dc581b3d963d2311f53e96a96c9947",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "tomcatv": (
+        "64dafb68d329fb9c38379cd28d805831a85beecb03eeb08752f61b1c2ef1cb40",
+        "267d7a71b148c71a7ad59ddf1be179336999440176d9916e44e1050ac2ff4ccc",
+    ),
+    "who": (
+        "b054a2414a51fc307bb45ccc9ad133dff15f75bc9e4b8ed40c85ef2187be3111",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "xlisp": (
+        "5de972c0e8a9ce9558f781b7841d0488c77d4b32ed9962a05804879f3cebebca",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "yacc": (
+        "7ca0b0398d877ff39196bff0f1db6091dc3932afbe235de8c084bbd27a2c187d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
 class TestSuite:
     def test_figure5_corpus_sizes_match_paper(self):
         corpus = load_figure5_corpus()
@@ -138,6 +213,20 @@ class TestSuite:
         names = available_workloads()
         assert set(FIGURE5_PROGRAMS) <= set(names)
         assert set(SIMULATION_PROGRAMS) <= set(names)
+
+    @pytest.mark.parametrize("name", available_workloads())
+    def test_assembled_bytes_are_pinned(self, name):
+        # Generation and assembly are deterministic: any drift in the
+        # generator's RNG draws or in the assembler's encodings (a wrong
+        # memoised expansion, say) changes these digests.
+        program = load(name).program
+        assert (
+            hashlib.sha256(program.text).hexdigest(),
+            hashlib.sha256(program.data).hexdigest(),
+        ) == ASSEMBLED_SHA256[name]
+
+    def test_every_workload_has_a_pin(self):
+        assert set(available_workloads()) == set(ASSEMBLED_SHA256)
 
     @pytest.mark.parametrize("name", SIMULATION_PROGRAMS)
     def test_simulation_programs_execute(self, name):
