@@ -9,11 +9,12 @@ only refill timing differs.
 Two implementations are provided:
 
 * :class:`DirectMappedCache` — a readable, stateful reference model;
-* :func:`simulate_trace` — a vectorised equivalent.  A direct-mapped
-  cache hits exactly when the previous access to the same set touched the
-  same line, so misses can be computed with one stable sort by set index
-  followed by a neighbour comparison: O(n log n) in numpy instead of an
-  interpreted loop per access.
+* :func:`simulate_trace` — a vectorised equivalent, built on the
+  per-access :func:`miss_mask`.  A direct-mapped cache hits exactly when
+  the previous access to the same set touched the same line, so misses
+  can be computed with one stable sort by set index followed by a
+  neighbour comparison: O(n log n) in numpy instead of an interpreted
+  loop per access.
 
 Property-based tests assert the two agree on random traces.
 """
@@ -85,6 +86,46 @@ class DirectMappedCache:
         )
 
 
+def miss_mask(
+    addresses: np.ndarray, cache_bytes: int, line_size: int = DEFAULT_LINE_SIZE
+) -> np.ndarray:
+    """Per-access miss flags of a direct-mapped cache, vectorised.
+
+    A boolean per *access*, so miss events keep their position (and
+    therefore their address) in the stream; :func:`simulate_trace` and
+    :func:`repro.pipeline.frontend.miss_events` both read it.
+    """
+    num_sets = _check_geometry(cache_bytes, line_size)
+    if len(addresses) == 0:
+        return np.zeros(0, dtype=bool)
+    lines = np.asarray(addresses, dtype=np.int64) >> (line_size.bit_length() - 1)
+
+    # Runs of accesses to the same line always hit after the first access,
+    # whatever the geometry; collapse them first (instruction fetch is
+    # mostly sequential, so this shrinks the trace ~8x).
+    keep = np.empty(len(lines), dtype=bool)
+    keep[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+    event_positions = np.nonzero(keep)[0]
+    events = lines[event_positions]
+
+    sets = events & (num_sets - 1)
+    order = np.argsort(sets, kind="stable")
+    sorted_sets = sets[order]
+    sorted_lines = events[order]
+    miss_sorted = np.empty(len(events), dtype=bool)
+    miss_sorted[0] = True
+    miss_sorted[1:] = (sorted_sets[1:] != sorted_sets[:-1]) | (
+        sorted_lines[1:] != sorted_lines[:-1]
+    )
+    miss_events = np.empty(len(events), dtype=bool)
+    miss_events[order] = miss_sorted
+
+    mask = np.zeros(len(lines), dtype=bool)
+    mask[event_positions[miss_events]] = True
+    return mask
+
+
 def simulate_trace(
     addresses: np.ndarray,
     cache_bytes: int,
@@ -100,36 +141,9 @@ def simulate_trace(
     Returns:
         The same :class:`CacheStats` the reference model produces.
     """
-    num_sets = _check_geometry(cache_bytes, line_size)
-    if len(addresses) == 0:
-        return CacheStats(accesses=0, misses=0, miss_lines=np.array([], dtype=np.int64))
-
-    lines = np.asarray(addresses, dtype=np.int64) >> (line_size.bit_length() - 1)
-
-    # Runs of accesses to the same line always hit after the first access,
-    # whatever the geometry; collapse them first (instruction fetch is
-    # mostly sequential, so this shrinks the trace ~8x).
-    keep = np.empty(len(lines), dtype=bool)
-    keep[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-    events = lines[keep]
-    total_accesses = len(lines)
-
-    sets = events & (num_sets - 1)
-    order = np.argsort(sets, kind="stable")
-    sorted_sets = sets[order]
-    sorted_lines = events[order]
-    miss_sorted = np.empty(len(events), dtype=bool)
-    miss_sorted[0] = True
-    miss_sorted[1:] = (sorted_sets[1:] != sorted_sets[:-1]) | (
-        sorted_lines[1:] != sorted_lines[:-1]
-    )
-    miss = np.empty(len(events), dtype=bool)
-    miss[order] = miss_sorted
-
-    miss_lines = events[miss]
+    addresses = np.asarray(addresses)
+    mask = miss_mask(addresses, cache_bytes, line_size)
+    miss_lines = addresses[mask].astype(np.int64) >> (line_size.bit_length() - 1)
     return CacheStats(
-        accesses=total_accesses,
-        misses=int(miss.sum()),
-        miss_lines=miss_lines,
+        accesses=len(addresses), misses=len(miss_lines), miss_lines=miss_lines
     )

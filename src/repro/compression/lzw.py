@@ -35,28 +35,34 @@ def _check_max_bits(max_bits: int) -> None:
 
 
 def _lzw_codes(data: bytes, max_bits: int) -> Iterator[tuple[int, int]]:
-    """The ``(code, width)`` pairs compress-style LZW emits for ``data``."""
+    """The ``(code, width)`` pairs compress-style LZW emits for ``data``.
+
+    A dictionary string is its prefix's code extended by one byte, so
+    the table is keyed on the integer ``(prefix_code << 8) | byte``; a
+    single byte is its own code.
+    """
     if not data:
         return
-    table: dict[bytes, int] = {bytes([value]): value for value in range(256)}
+    table: dict[int, int] = {}
     next_code = 256
     width = MIN_BITS
     limit = 1 << max_bits
 
-    current = bytes([data[0]])
+    current = data[0]
     for value in data[1:]:
-        extended = current + bytes([value])
-        if extended in table:
-            current = extended
+        key = (current << 8) | value
+        code = table.get(key)
+        if code is not None:
+            current = code
             continue
-        yield table[current], width
+        yield current, width
         if next_code < limit:
-            table[extended] = next_code
+            table[key] = next_code
             next_code += 1
             if next_code > (1 << width) and width < max_bits:
                 width += 1
-        current = bytes([value])
-    yield table[current], width
+        current = value
+    yield current, width
 
 
 def lzw_compress(data: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
@@ -81,7 +87,8 @@ def lzw_decompress(blob: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
     if not payload:
         return b""
 
-    table: dict[int, bytes] = {value: bytes([value]) for value in range(256)}
+    # Indexed by code; entry ``pending`` is appended once it is known.
+    table = [bytes([value]) for value in range(256)]
     next_code = 256
     width = MIN_BITS
     limit = 1 << max_bits
@@ -92,7 +99,7 @@ def lzw_decompress(blob: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
 
     code = int.from_bytes(padded[:4], "big") >> (32 - width)
     position = width
-    if code not in table:
+    if code >= len(table):
         raise CompressionError(f"corrupt LZW stream: code {code}")
     previous = table[code]
     output = bytearray(previous)
@@ -113,14 +120,14 @@ def lzw_decompress(blob: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:
             int.from_bytes(padded[start : start + 4], "big") >> (32 - width - (position & 7))
         ) & ((1 << width) - 1)
         position += width
-        if code in table:
+        if code < len(table):
             entry = table[code]
         elif code == pending:
             entry = previous + previous[:1]
         else:
             raise CompressionError(f"corrupt LZW stream: code {code}")
         if pending is not None:
-            table[pending] = previous + entry[:1]
+            table.append(previous + entry[:1])
         output.extend(entry)
         previous = entry
     return bytes(output)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.direct_mapped import simulate_trace
 from repro.cache.stats import CacheStats
 from repro.ccrp.clb import CLB
 from repro.ccrp.compressor import ProgramCompressor
@@ -105,12 +104,19 @@ class ProgramStudy:
         """Miss statistics for one cache size (memoised and disk-cached)."""
         stats = self._cache_stats.get(cache_bytes)
         if stats is None:
+
+            def _stats() -> CacheStats:
+                events = self.miss_events(cache_bytes)
+                return CacheStats(
+                    accesses=events.accesses,
+                    misses=len(events.lines),
+                    miss_lines=events.lines,
+                )
+
             with METRICS.stage("study.cache_sim"):
                 stats = artifacts.get_cache().get_or_compute(
                     "miss-stream",
-                    lambda: simulate_trace(
-                        self.execution.trace.addresses, cache_bytes, self.image.line_size
-                    ),
+                    _stats,
                     *self._trace_key,
                     cache_bytes,
                     self.image.line_size,
@@ -279,9 +285,10 @@ class ProgramStudy:
     def miss_events(self, cache_bytes: int) -> MissEvents:
         """Position and line of every instruction-cache miss (memoised).
 
-        The miss stream is policy-independent, so every prefetch replay
-        and :meth:`miss_addresses` of one cache size share one
-        extraction.  Not disk cached: the replays that read it are.
+        The miss stream is policy-independent, so :meth:`cache_stats`,
+        every prefetch replay and :meth:`miss_addresses` of one cache
+        size share one extraction (one sort by set).  Not disk cached:
+        the statistics and replays that read it are.
         """
         events = self._miss_events.get(cache_bytes)
         if events is None:

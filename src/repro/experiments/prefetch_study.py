@@ -212,11 +212,7 @@ def _exact_replay(study, config: SystemConfig) -> FetchReplay:
         prefetch_depth=config.prefetch_depth,
         btb=study.btb() if config.fetch_policy == "btb" else None,
     )
-    stalls = 0
-    addresses = study.execution.trace.addresses
-    for start in range(0, len(addresses), 1 << 16):  # the whole list of ints is ~40 MB
-        for address in addresses[start : start + (1 << 16)].tolist():
-            stalls += unit.fetch(address)
+    stalls = unit.fetch_stream(study.execution.trace.addresses)
     return FetchReplay.from_unit(unit, stalls)
 
 

@@ -87,9 +87,10 @@ class AssembledProgram:
         return len(self.text)
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _Line:
-    """One source line after parsing: mnemonic + raw operand string."""
+    """One distinct source line after parsing: mnemonic + raw operand
+    string, numbered at its first occurrence (identity-hashed)."""
 
     number: int
     mnemonic: str
@@ -136,8 +137,8 @@ class Assembler:
 
     def assemble(self, source: str) -> AssembledProgram:
         """Assemble ``source`` into a program image."""
-        text_lines, data_items, labels = self._pass_one(source)
-        instructions, text = self._pass_two(text_lines, labels)
+        text_lines, numbers, data_items, labels = self._pass_one(source)
+        instructions, text = self._pass_two(text_lines, numbers, labels)
         data = self._emit_data(data_items, labels)
         return AssembledProgram(
             text=text,
@@ -154,34 +155,36 @@ class Assembler:
 
     def _pass_one(
         self, source: str
-    ) -> tuple[list[_Line], list[_DataItem], dict[str, int]]:
+    ) -> tuple[list[_Line], list[int], list[_DataItem], dict[str, int]]:
+        """Lay out both sections: every text line (one shared
+        :class:`_Line` per distinct text) with its line number, the data
+        items, and the labels."""
         labels: dict[str, int] = {}
         text_lines: list[_Line] = []
+        numbers: list[int] = []
         data_items: list[_DataItem] = []
         text_pc = self.text_base
         data_pc = self.data_base
         section = "text"
+        # Generated sources repeat most lines: split, parse and size each
+        # distinct line text once.  Labels, sections and line numbers
+        # stay per occurrence, and a line is kept only once sized, so a
+        # repeated bad line raises at its first occurrence.
+        distinct: dict[str, list] = {}
 
         for number, raw in enumerate(source.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            while line:
-                head, colon, rest = line.partition(":")
-                if colon and _LABEL_RE.match(head.strip()) and " " not in head.strip():
-                    label = head.strip()
-                    if label in labels:
-                        raise AssemblerError(f"duplicate label {label!r}", number)
-                    labels[label] = text_pc if section == "text" else data_pc
-                    line = rest.strip()
-                    continue
-                break
-            if not line:
+            parsed = distinct.get(raw)
+            if parsed is None:
+                parsed = distinct[raw] = [*_split_line(raw), None, 0]
+            line_labels, mnemonic, operands, line, size = parsed
+            for label in line_labels:
+                if label in labels:
+                    raise AssemblerError(f"duplicate label {label!r}", number)
+                labels[label] = text_pc if section == "text" else data_pc
+            if not mnemonic:
                 continue
 
-            mnemonic, _, operands = line.partition(" ")
-            mnemonic = mnemonic.lower()
-            operands = operands.strip()
-
-            if mnemonic.startswith("."):
+            if mnemonic[0] == ".":
                 if mnemonic == ".text":
                     section = "text"
                 elif mnemonic == ".data":
@@ -198,11 +201,15 @@ class Assembler:
 
             if section != "text":
                 raise AssemblerError("instructions must appear in .text", number)
-            parsed = _Line(number, mnemonic, operands)
-            text_lines.append(parsed)
-            text_pc += 4 * self._expansion_size(parsed)
+            if line is None:
+                line = _Line(number, mnemonic, operands)
+                size = self._expansion_size(line)
+                parsed[3:] = line, size
+            text_lines.append(line)
+            numbers.append(number)
+            text_pc += 4 * size
 
-        return text_lines, data_items, labels
+        return text_lines, numbers, data_items, labels
 
     def _layout_data(
         self, directive: str, operands: str, data_pc: int, number: int
@@ -266,7 +273,7 @@ class Assembler:
     # ------------------------------------------------------------------
 
     def _pass_two(
-        self, lines: list[_Line], labels: dict[str, int]
+        self, lines: list[_Line], numbers: list[int], labels: dict[str, int]
     ) -> tuple[list[Instruction], bytes]:
         """Expand and encode every text line: the instructions and the text."""
         # Equal instructions share one object: a program holds (and its
@@ -275,21 +282,23 @@ class Assembler:
         # A position-independent line is expanded and encoded once per
         # distinct text; only successful expansions are kept, so a
         # repeated bad line raises at its first occurrence.
-        expansions: dict[tuple[str, str], tuple[list[Instruction], bytes]] = {}
+        expansions: dict[_Line, tuple[list[Instruction], bytes]] = {}
         instructions: list[Instruction] = []
         words: list[bytes] = []
         pc = self.text_base
-        for line in lines:
-            key = (line.mnemonic, line.operands)
-            expansion = expansions.get(key)
+        for line, number in zip(lines, numbers):
+            expansion = expansions.get(line)
             if expansion is None:
+                if line.number != number:
+                    # A later occurrence of a position-dependent line.
+                    line = _Line(number, line.mnemonic, line.operands)
                 expanded = [
                     interned.setdefault(item, item)
                     for item in self._expand(line, pc, labels)
                 ]
                 expansion = (expanded, b"".join(map(encode_bytes, expanded)))
                 if line.mnemonic not in _POSITION_DEPENDENT:
-                    expansions[key] = expansion
+                    expansions[line] = expansion
             instructions.extend(expansion[0])
             words.append(expansion[1])
             pc += 4 * len(expansion[0])
@@ -572,6 +581,22 @@ class Assembler:
 # ---------------------------------------------------------------------------
 # Module-level parsing helpers
 # ---------------------------------------------------------------------------
+
+
+def _split_line(raw: str) -> tuple[tuple[str, ...], str, str]:
+    """One source line's labels, lower-cased mnemonic and operand string
+    (an empty mnemonic for a blank or label-only line)."""
+    line = raw.split("#", 1)[0].strip()
+    labels = []
+    while line:
+        head, colon, rest = line.partition(":")
+        label = head.strip()
+        if not (colon and _LABEL_RE.match(label) and " " not in label):
+            break
+        labels.append(label)
+        line = rest.strip()
+    mnemonic, _, operands = line.partition(" ")
+    return tuple(labels), mnemonic.lower(), operands.strip()
 
 
 def _align(value: int, alignment: int) -> int:

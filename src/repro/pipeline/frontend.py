@@ -31,51 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.direct_mapped import _check_geometry
+from repro.cache.direct_mapped import _check_geometry, miss_mask
 from repro.ccrp.clb import CLB
 from repro.ccrp.refill import RefillEngine
 from repro.errors import ConfigurationError
 from repro.lat.entry import LINES_PER_ENTRY
 from repro.memsys.models import MemoryModel, get_memory_model
-
-
-def miss_mask(
-    addresses: np.ndarray, cache_bytes: int, line_size: int = 32
-) -> np.ndarray:
-    """Per-access miss flags of a direct-mapped cache, vectorised.
-
-    The same sort-by-set trick as
-    :func:`repro.cache.direct_mapped.simulate_trace`, but returning a
-    boolean per *access* (so miss events keep their position — and
-    therefore their address — in the stream) instead of aggregate
-    statistics.
-    """
-    num_sets = _check_geometry(cache_bytes, line_size)
-    if len(addresses) == 0:
-        return np.zeros(0, dtype=bool)
-    lines = np.asarray(addresses, dtype=np.int64) >> (line_size.bit_length() - 1)
-
-    keep = np.empty(len(lines), dtype=bool)
-    keep[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-    event_positions = np.nonzero(keep)[0]
-    events = lines[event_positions]
-
-    sets = events & (num_sets - 1)
-    order = np.argsort(sets, kind="stable")
-    sorted_sets = sets[order]
-    sorted_lines = events[order]
-    miss_sorted = np.empty(len(events), dtype=bool)
-    miss_sorted[0] = True
-    miss_sorted[1:] = (sorted_sets[1:] != sorted_sets[:-1]) | (
-        sorted_lines[1:] != sorted_lines[:-1]
-    )
-    miss_events = np.empty(len(events), dtype=bool)
-    miss_events[order] = miss_sorted
-
-    mask = np.zeros(len(lines), dtype=bool)
-    mask[event_positions[miss_events]] = True
-    return mask
 
 
 @dataclass(frozen=True)

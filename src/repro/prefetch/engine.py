@@ -54,6 +54,8 @@ import sys
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
 
+import numpy as np
+
 from repro.ccrp.clb import CLB
 from repro.ccrp.refill import RefillEngine
 from repro.errors import ConfigurationError
@@ -64,6 +66,9 @@ from repro.prefetch.predictor import StaticBTB
 
 #: The selectable fetch policies.
 FETCH_POLICIES = ("demand", "nextline", "btb")
+
+#: Addresses :meth:`PrefetchingFetchUnit.fetch_stream` walks per slice.
+STREAM_SLICE = 1 << 16
 
 
 def validate_fetch_policy(name: str) -> str:
@@ -337,7 +342,9 @@ class PrefetchingFetchUnit(FetchUnit):
     A drop-in :class:`~repro.pipeline.frontend.FetchUnit` for
     :func:`~repro.pipeline.datapath.simulate_pipeline`: same
     ``fetch(address) -> freeze cycles`` contract, plus the shadow clock
-    and prefetch machinery of :class:`PrefetchCore`.  With
+    and prefetch machinery of :class:`PrefetchCore`.  ``fetch`` and
+    ``fetch_stream`` (a whole trace, 65,536 addresses per slice) run one
+    per-access walk, so the state machine exists once.  With
     ``policy="demand"`` it is byte-identical to the plain unit
     (property-tested).
 
@@ -385,23 +392,54 @@ class PrefetchingFetchUnit(FetchUnit):
         )
 
     def _is_resident(self, line: int) -> bool:
-        return self._resident[line % self.num_sets] == line
+        return self._resident[line & (self.num_sets - 1)] == line
 
     def fetch(self, address: int) -> int:
         """One instruction fetch; returns the freeze cycles it caused."""
-        line = address >> self._line_shift
-        set_index = line % self.num_sets
-        self.accesses += 1
-        arrival = self._clock
-        if self._resident[set_index] == line:
-            self._clock = arrival + 1
-            return 0
-        self._resident[set_index] = line
-        self.misses += 1
-        stall = self.core.on_miss(arrival, line, self._is_resident)
+        return self._walk((address >> self._line_shift,))
+
+    def fetch_stream(self, addresses) -> int:
+        """Fetch every address of a stream in order; returns the total
+        freeze cycles.  Equal to summing :meth:`fetch` over the stream,
+        wherever it is split."""
+        addresses = np.asarray(addresses)
+        stalls = 0
+        # One slice's lines as Python ints; a whole trace would be ~40 MB.
+        for start in range(0, len(addresses), STREAM_SLICE):
+            lines = addresses[start : start + STREAM_SLICE] >> self._line_shift
+            stalls += self._walk(lines.tolist())
+        return stalls
+
+    def _walk(self, lines: Sequence[int]) -> int:
+        """The per-access state machine over global line numbers.
+
+        Every access is compared with its set's tag: a hit advances the
+        shadow clock one cycle; a miss fills the set, and the core
+        services it at the current shadow time, which then advances by
+        the IF slot plus the stall.
+        """
+        resident = self._resident
+        set_mask = self.num_sets - 1
+        on_miss = self.core.on_miss
+        is_resident = self._is_resident
+        clock = self._clock
+        misses = 0
+        stalls = 0
+        for line in lines:
+            set_index = line & set_mask
+            if resident[set_index] == line:
+                clock += 1
+                continue
+            resident[set_index] = line
+            misses += 1
+            stall = on_miss(clock, line, is_resident)
+            stalls += stall
+            clock += 1 + stall
+        self._clock = clock
+        self.accesses += len(lines)
+        self.misses += misses
         self.clb_penalty_cycles = self.core.clb_penalty_cycles
-        self._clock = arrival + 1 + stall
-        return stall
+        return stalls
 
     def reset(self) -> None:
         """Empty the cache, buffer, CLB, and clocks; clear statistics."""

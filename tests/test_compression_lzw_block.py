@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,24 @@ from repro.compression.lzw import (
     lzw_compressed_size,
     lzw_decompress,
 )
+
+
+#: SHA-256 of ``lzw_compress(text, 16)`` and ``lzw_compress(text, 9)``
+#: for three suite programs' text segments.
+LZW_SHA256 = {
+    "eightq": [
+        "e70c1a66acf1c96b22208479cc71aa1d07c0f10f8cc901945412adffb114a6ef",
+        "2937f671d330449a84b1381778cbc17c04277ee41c757679195f6cef8e1607f4",
+    ],
+    "who": [
+        "3aaab0aa2d81baa9d9714412d4a327b3f07e911262c4e32aee510a3c5f8d5b80",
+        "526ebdb4fc53c6c6de8a43a008d1e5cdfbbea4b724207f092b6696944d55fff4",
+    ],
+    "matrix25a": [
+        "623c5081f3e02bb5abb167d51778b1722c127dbb081aff199545cf6dfa552775",
+        "60d458b453823306dfaf09b6bf088655bc8140611dde813abcd3f6872151645c",
+    ],
+}
 
 
 class TestLZW:
@@ -86,6 +105,31 @@ class TestLZW:
     @given(st.binary(min_size=0, max_size=2000))
     def test_property_round_trip(self, data):
         assert lzw_decompress(lzw_compress(data)) == data
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.binary(max_size=200),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=4000),
+        st.sampled_from((9, 10, DEFAULT_MAX_BITS)),
+    )
+    def test_compressed_size_past_the_dictionary_freeze(
+        self, prefix, seed, noise, max_bits
+    ):
+        # Random bytes add about one dictionary entry per byte, so a few
+        # hundred of them fill a 9-bit dictionary and freeze it.
+        data = prefix + random.Random(seed).randbytes(noise)
+        assert lzw_compressed_size(data, max_bits) == len(lzw_compress(data, max_bits))
+
+    @pytest.mark.parametrize("name", sorted(LZW_SHA256))
+    def test_compressed_bytes_are_pinned(self, name):
+        from repro.workloads.suite import load
+
+        text = load(name).text
+        assert [
+            hashlib.sha256(lzw_compress(text, max_bits)).hexdigest()
+            for max_bits in (DEFAULT_MAX_BITS, 9)
+        ] == LZW_SHA256[name]
 
 
 def _reference_lzw_decompress(blob: bytes, max_bits: int = DEFAULT_MAX_BITS) -> bytes:

@@ -304,6 +304,15 @@ class TestAssemblerErrors:
             assemble("nop\naddiu $t0, $t1, 0x8000\nnop\naddiu $t0, $t1, 0x8000\n")
         assert raised.value.line_number == 2
 
+    def test_repeated_branch_reports_the_occurrence_that_fails(self):
+        # The same branch text is in range at line 2 but not 0x8000
+        # instructions further on: the error names the later line.
+        padding = "nop\n" * 0x8000
+        last = 0x8000 + 3
+        with pytest.raises(AssemblerError, match=f"^line {last}:") as raised:
+            assemble(f"near: nop\nb near\n{padding}b near\n")
+        assert raised.value.line_number == last
+
 
 class TestRepeatedLines:
     """Pass two expands a position-independent line once per distinct

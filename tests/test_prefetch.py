@@ -30,6 +30,7 @@ from repro.prefetch import (
     simulate_fetch_stream,
     validate_fetch_policy,
 )
+from repro.prefetch.engine import STREAM_SLICE
 
 # ----------------------------------------------------------------------
 # Golden hand-computed prefetch timeline
@@ -113,22 +114,109 @@ def _btb_for(data) -> StaticBTB:
     return btb
 
 
-@settings(max_examples=40, deadline=None)
-@given(addresses=_ADDRESSES, cache_bytes=st.sampled_from((64, 256, 1024)))
-def test_demand_policy_is_byte_identical_to_plain_unit(addresses, cache_bytes):
-    """With policy="demand" the subclass must not change a single stall."""
-    stream = np.array(addresses, dtype=np.int64)
-    plain = FetchUnit(cache_bytes=cache_bytes, memory=EPROM)
-    prefetching = PrefetchingFetchUnit(
-        cache_bytes=cache_bytes, memory=EPROM, policy="demand"
-    )
-    for address in stream.tolist():
-        assert plain.fetch(address) == prefetching.fetch(address)
-    assert plain.counters() == {
+def _plain_counters(unit: PrefetchingFetchUnit) -> dict[str, int]:
+    """The counters a plain :class:`FetchUnit` also reports."""
+    return {
         key: value
-        for key, value in prefetching.counters().items()
+        for key, value in unit.counters().items()
         if not key.startswith("prefetch_") and key != "traffic_bytes"
     }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    addresses=_ADDRESSES,
+    cache_bytes=st.sampled_from((64, 256, 1024)),
+    line_size=st.sampled_from((16, 32)),
+)
+def test_demand_policy_is_byte_identical_to_plain_unit(
+    addresses, cache_bytes, line_size
+):
+    """With policy="demand" the subclass must not change a single stall,
+    fetched address by address or walked as one stream.  The plain
+    :class:`FetchUnit` loop is a separate per-access implementation."""
+    stream = np.array(addresses, dtype=np.int64)
+    plain = FetchUnit(cache_bytes=cache_bytes, memory=EPROM, line_size=line_size)
+    prefetching = PrefetchingFetchUnit(
+        cache_bytes, EPROM, line_size=line_size, policy="demand"
+    )
+    walk = PrefetchingFetchUnit(
+        cache_bytes, EPROM, line_size=line_size, policy="demand"
+    )
+    plain_stalls = 0
+    for address in stream.tolist():
+        stall = plain.fetch(address)
+        assert stall == prefetching.fetch(address)
+        plain_stalls += stall
+    assert walk.fetch_stream(stream) == plain_stalls
+    assert plain.counters() == _plain_counters(prefetching) == _plain_counters(walk)
+
+
+def test_demand_walk_equals_plain_unit_loop_with_refill_and_clb():
+    """The same on a real trace prefix with the CCRP refill engine and a
+    CLB, so per-line refill costs and LAT reads are compared too."""
+    from repro.core.artifacts import get_study
+
+    study = get_study("eightq")
+    addresses = study.execution.trace.addresses[:30_000]
+    engine = study.refill_engine("sc_dram", SystemConfig().decoder)
+    plain = FetchUnit(256, "sc_dram", refill=engine, clb=CLB(entries=4))
+    plain_stalls = sum(plain.fetch(address) for address in addresses.tolist())
+    walk = PrefetchingFetchUnit(
+        256, "sc_dram", refill=engine, clb=CLB(entries=4), policy="demand"
+    )
+    assert walk.fetch_stream(addresses) == plain_stalls
+    assert plain.counters() == _plain_counters(walk)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    addresses=_ADDRESSES,
+    cache_bytes=st.sampled_from((64, 256, 1024)),
+    line_size=st.sampled_from((16, 32)),
+    policy=st.sampled_from(FETCH_POLICIES),
+    depth=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_fetch_stream_is_split_invariant(
+    addresses, cache_bytes, line_size, policy, depth, data
+):
+    """One walk over a stream equals the same stream fed in pieces: split
+    anywhere (across the slice boundary too) and partly fetched one
+    address at a time."""
+    length = STREAM_SLICE + data.draw(st.integers(min_value=-200, max_value=400))
+    stream = np.resize(np.array(addresses, dtype=np.int64), length)
+    cuts = sorted(
+        data.draw(
+            st.lists(st.integers(min_value=0, max_value=length), max_size=4)
+            | st.just([STREAM_SLICE - 1, STREAM_SLICE + 1])
+        )
+    )
+    btb = _btb_for(data) if policy == "btb" else None
+
+    def unit() -> PrefetchingFetchUnit:
+        return PrefetchingFetchUnit(
+            cache_bytes,
+            EPROM,
+            line_size=line_size,
+            policy=policy,
+            prefetch_depth=depth,
+            btb=btb,
+        )
+
+    whole = unit()
+    expected = FetchReplay.from_unit(whole, whole.fetch_stream(stream))
+
+    pieces = unit()
+    stalls = 0
+    bounds = [0, *cuts, length]
+    for index, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        if index % 2 and stop - start <= 300:
+            stalls += sum(pieces.fetch(address) for address in stream[start:stop].tolist())
+        else:
+            stalls += pieces.fetch_stream(stream[start:stop])
+    assert FetchReplay.from_unit(pieces, stalls) == expected
+    assert pieces.counters() == whole.counters()
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,8 +238,7 @@ def test_exact_equals_timeline(addresses, cache_bytes, policy, depth, data):
         prefetch_depth=depth,
         btb=btb,
     )
-    stalls = sum(unit.fetch(address) for address in stream.tolist())
-    exact = FetchReplay.from_unit(unit, stalls)
+    exact = FetchReplay.from_unit(unit, unit.fetch_stream(stream))
     timeline = simulate_fetch_stream(
         stream,
         cache_bytes,
@@ -227,8 +314,7 @@ def test_real_workload_ccrp_equivalence():
                     policy=policy,
                     btb=btb,
                 )
-                stalls = sum(unit.fetch(address) for address in addresses.tolist())
-                exact = FetchReplay.from_unit(unit, stalls)
+                exact = FetchReplay.from_unit(unit, unit.fetch_stream(addresses))
                 timeline = simulate_fetch_stream(
                     events,
                     256,

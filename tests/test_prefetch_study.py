@@ -48,15 +48,16 @@ def cold_result(tmp_path_factory):
 
 @pytest.fixture
 def fetch_calls(monkeypatch):
-    """Counts :meth:`PrefetchingFetchUnit.fetch` calls (one per exact access)."""
+    """Counts the addresses :meth:`PrefetchingFetchUnit.fetch_stream`
+    walks (one per exact access)."""
     calls = [0]
-    fetch = PrefetchingFetchUnit.fetch
+    fetch_stream = PrefetchingFetchUnit.fetch_stream
 
-    def counting_fetch(self, address):
-        calls[0] += 1
-        return fetch(self, address)
+    def counting_fetch_stream(self, addresses):
+        calls[0] += len(addresses)
+        return fetch_stream(self, addresses)
 
-    monkeypatch.setattr(PrefetchingFetchUnit, "fetch", counting_fetch)
+    monkeypatch.setattr(PrefetchingFetchUnit, "fetch_stream", counting_fetch_stream)
     return calls
 
 
