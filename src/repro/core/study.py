@@ -22,6 +22,7 @@ from repro.core.metrics import METRICS
 from repro.core.performance import ComparisonReport, SystemMetrics
 from repro.core.standard import standard_code
 from repro.lat.entry import ENTRY_BYTES, LINES_PER_ENTRY
+from repro.machine import executor
 from repro.memsys.models import get_memory_model
 from repro.pipeline.datapath import PipelineResult
 from repro.pipeline.frontend import (
@@ -65,9 +66,15 @@ class ProgramStudy:
         cache = artifacts.get_cache()
         text_fp = artifacts.fingerprint_bytes(self.workload.text)
         code_fp = artifacts.code_fingerprint(self.code)
-        # Everything a trace artifact depends on; image/miss-stream keys
-        # extend this with the code and cache geometry respectively.
-        self._trace_key = (self.workload.name, text_fp, max_instructions)
+        # Everything a trace artifact depends on (the executor's source
+        # too); image/miss-stream keys extend this with the code and
+        # cache geometry respectively.
+        self._trace_key = (
+            self.workload.name,
+            text_fp,
+            max_instructions,
+            executor.execution_source_digest(),
+        )
         self._code_fp = code_fp
 
         with METRICS.stage("study.trace"):

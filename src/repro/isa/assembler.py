@@ -194,7 +194,13 @@ class Assembler:
                     if item is not None:
                         data_items.append(item)
                 elif mnemonic == ".align":
-                    text_pc = _align(text_pc, 1 << _parse_int(operands, number))
+                    # Pad with zero words (nops) up to the boundary, so
+                    # the labels after it name the words laid out there.
+                    aligned = _align(text_pc, 1 << _parse_int(operands, number))
+                    words = (aligned - text_pc) // 4
+                    text_lines += [_Line(number, "nop", "")] * words
+                    numbers += [number] * words
+                    text_pc = aligned
                 else:
                     raise AssemblerError(f"directive {mnemonic} not allowed in .text", number)
                 continue

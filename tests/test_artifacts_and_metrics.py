@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import pathlib
 import pickle
 import re
@@ -14,6 +15,8 @@ from repro.core.config import SystemConfig
 from repro.core.metrics import METRICS, MetricsRegistry
 from repro.core.standard import standard_code
 from repro.core.study import ProgramStudy, compare
+from repro.machine import Machine, executor
+from repro.workloads import suite
 from repro.workloads.suite import load
 
 
@@ -322,6 +325,40 @@ class TestStudyArtifacts:
         # alias the first study's artifacts.
         assert len(list(tmp_path.rglob("*.pkl"))) > first
 
+    def test_execution_artifacts_follow_the_executor_source(
+        self, monkeypatch, tmp_path
+    ):
+        """Traces and superops are keyed on the executor's source digest:
+        an unchanged tree hits, an edited one executes and compiles again."""
+        monkeypatch.setenv(artifacts.ENV_CACHE_DIR, str(tmp_path))
+        runs = []
+        real_run = Machine.run
+
+        def counting_run(self, *args, **kwargs):
+            runs.append(self.program)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "run", counting_run)
+
+        def study_in_a_fresh_process():
+            suite._run_cached.cache_clear()
+            executor._PROGRAM_CACHE.clear()
+            ProgramStudy("eightq", max_instructions=1_000_000)
+
+        def stored(kind):
+            return len(list(tmp_path.rglob(f"{kind}/*.pkl")))
+
+        study_in_a_fresh_process()
+        study_in_a_fresh_process()
+        assert len(runs) == 1
+        assert stored("trace") == stored("superops") == 1
+
+        monkeypatch.setattr(executor, "execution_source_digest", lambda: "edited")
+        study_in_a_fresh_process()
+        assert len(runs) == 2
+        assert stored("trace") == stored("superops") == 2
+        suite._run_cached.cache_clear()
+
 
 class TestMetricsRegistry:
     def test_stage_accumulates(self):
@@ -518,3 +555,8 @@ class TestConfigurationSurface:
     def test_only_artifacts_reads_the_environment(self):
         readers = {module for module, text in self._sources() if self.ENV_READ.search(text)}
         assert readers == {"core/artifacts.py"}
+
+    def test_machine_takes_a_program_and_a_stall_model(self):
+        """One execution engine: no mode switch on the machine."""
+        parameters = inspect.signature(Machine.__init__).parameters
+        assert list(parameters) == ["self", "program", "stall_model"]

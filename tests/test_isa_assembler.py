@@ -270,6 +270,14 @@ class TestDataDirectives:
         )
         assert program.labels["w"] == DEFAULT_DATA_BASE + 4
 
+    def test_align_in_text_pads_with_zero_words(self):
+        program = assemble("nop\n.align 4\nl: nop\nj l\n")
+        assert program.labels["l"] == 16
+        assert len(program.text) == 24 == 4 * len(program.instructions)
+        assert program.text[:20] == bytes(20)  # nop, three padding nops, nop
+        assert program.instructions[5].mnemonic == "j"
+        assert program.instructions[5].target << 2 == 16
+
 
 class TestAssemblerErrors:
     @pytest.mark.parametrize(
