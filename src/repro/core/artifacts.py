@@ -1,21 +1,35 @@
 """Content-addressed on-disk cache for expensive simulation artifacts.
 
-A :class:`ProgramStudy` is built from three costly pieces — the execution
-trace, the compressed image, and per-cache-size miss streams.  All of
-them are pure functions of a small key (workload name, text-segment
-fingerprint, Huffman-code fingerprint, block alignment, instruction cap,
-cache geometry), so they are computed once and memoised on disk, keyed by
-the SHA-256 of that key.  A second process — or a ``--jobs N`` worker —
+A :class:`ProgramStudy` is built from costly pieces — the execution
+trace, the compressed image, per-cache-size miss streams, replays — and
+each is a pure function of a small key (workload, program fingerprint,
+Huffman-code fingerprint, block alignment, instruction cap, cache
+geometry) and of the code that computes it.  They are computed once and
+memoised on disk, so a second process — or a ``--jobs N`` worker —
 finds them already materialised.
 
-Layout: ``<cache root>/<format version>/<kind>/<digest>.pkl``, written
-atomically (temp file + ``os.replace``).  Builds are **single-flight**
-across processes: a miss takes an exclusive ``flock`` on the artifact's
-``.lock`` sibling before computing, and re-checks the disk once the lock
-arrives — so N cold workers asking for the same key produce one build
-and N-1 cheap loads (``artifacts.coalesced``), not N duplicate
-simulations.  Where ``fcntl`` is unavailable the old race remains and is
-still safe: last writer wins with identical bytes-for-key content.
+One rule decides when an entry is stale.  :data:`KINDS` maps every
+stored kind to the root module of the code that computes it, and every
+key of the kind folds in the digest of that root's static import
+closure (:func:`code_digest`): an edit to any module the root can reach
+rebuilds the kind, an edit elsewhere does not.  A kind computed from
+another stored value passes that value's full :func:`key` as a key
+part, so it is rebuilt whenever its input is.  A kind missing from the
+table is refused (:class:`~repro.errors.ConfigurationError`).
+
+Layout: ``<cache root>/<kind>/<key>.pkl``: a 32-byte SHA-256 of the
+pickle that follows it, written atomically (temp file +
+``os.replace``).  The digest is computed while the pickle streams out
+and again while it streams back in, and a value whose bytes do not
+match is never returned: a torn write or a flipped bit on disk is
+evicted (``artifacts.evict``) and recomputed, never used.
+Builds are **single-flight** across processes: a miss takes an
+exclusive ``flock`` on the artifact's ``.lock`` sibling before
+computing, and re-checks the disk once the lock arrives — so N cold
+workers asking for the same key produce one build and N-1 cheap loads
+(``artifacts.coalesced``), not N duplicate simulations.  Where
+``fcntl`` is unavailable the old race remains and is still safe: last
+writer wins with identical bytes-for-key content.
 
 Escape hatches:
 
@@ -37,9 +51,9 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import re
 import sys
 import tempfile
-import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
 from functools import lru_cache
@@ -52,6 +66,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from repro.core.metrics import METRICS
+from repro.errors import ConfigurationError
 
 #: Environment variable relocating the on-disk cache root.
 ENV_CACHE_DIR = "CCRP_CACHE_DIR"
@@ -59,10 +74,19 @@ ENV_CACHE_DIR = "CCRP_CACHE_DIR"
 #: Environment variable disabling the on-disk cache ("1", "true", "yes").
 ENV_NO_CACHE = "CCRP_NO_CACHE"
 
-#: Bump to invalidate every artifact when the pickled formats change.
-#: 2: ExecutionTrace grew a lazy block-trace backing (superop engine).
-#: 3: CompressedImage grew the line_crcs integrity field.
-FORMAT_VERSION = 3
+#: Every stored kind and the root module of the code that computes it.
+KINDS: dict[str, str] = {
+    "superops": "repro.machine.executor",
+    "assembly": "repro.workloads.suite",
+    "trace": "repro.workloads.suite",
+    "image": "repro.ccrp.compressor",
+    "miss-stream": "repro.pipeline.frontend",
+    "clb-curve": "repro.ccrp.stackdist",
+    "pipeline-replay": "repro.pipeline.timeline",
+    "prefetch-replay": "repro.prefetch.timeline",
+    "prefetch-exact": "repro.prefetch.engine",
+    "service-response": "repro.service.workers",
+}
 
 #: Studies kept by the in-memory LRU used by :func:`get_study`.
 MAX_CACHED_STUDIES = 16
@@ -125,45 +149,182 @@ def code_fingerprint(code) -> str:
     return fingerprint_bytes(bytes(code.lengths))
 
 
-def source_digest(*packages) -> str:
-    """Fingerprint of the Python source of ``packages`` (imported packages).
+def program_fingerprint(program) -> str:
+    """Fingerprint of everything an execution starts from.
 
-    Hashes the relative path and bytes of every ``.py`` file under each
-    package's directory, plus the interpreter's major.minor version
-    (``random`` sequences are only promised stable within one version).
-    An artifact keyed on it is rebuilt after any edit to the code that
-    computes it, with no version constant to bump by hand.
+    Text and data bytes, both load addresses and the entry point of an
+    :class:`~repro.isa.assembler.AssembledProgram`.
     """
-    hasher = hashlib.sha256(f"python{sys.version_info[0]}.{sys.version_info[1]}".encode())
-    for package in packages:
-        root = Path(package.__path__[0])
-        for path in sorted(root.rglob("*.py")):
-            relative = f"{package.__name__}/{path.relative_to(root).as_posix()}"
-            hasher.update(b"\0" + relative.encode() + b"\0")
-            hasher.update(path.read_bytes())
+    layout = f"{program.text_base}:{program.data_base}:{program.entry}:{len(program.text)}"
+    hasher = hashlib.sha256(layout.encode())
+    hasher.update(program.text)
+    hasher.update(program.data)
     return hasher.hexdigest()[:16]
 
 
-@lru_cache(maxsize=None)
-def repro_source_digest() -> str:
-    """:func:`source_digest` of the whole :mod:`repro` package, once per process.
+# ----------------------------------------------------------------------
+# Code digests: the static import closure of each kind's root
+# ----------------------------------------------------------------------
 
-    Keys the replay kinds (``pipeline-replay``, ``prefetch-replay``,
-    ``prefetch-exact``), so any code edit rebuilds them.
+#: The ``repro`` package directory the closures are scanned in.
+_PACKAGE = Path(__file__).resolve().parent.parent
+
+#: Hashed for its bytes, but only its module-level imports are followed:
+#: the lazy imports of :func:`get_study` would put all of
+#: :mod:`repro.core.study` into every key.
+_LEAF = "repro.core.artifacts"
+
+_IMPORT = re.compile(
+    rb"^([ \t]*)(?:from[ \t]+(repro[\w.]*)[ \t]+import[ \t]+(\([^)]*\)|[^\n#]*)"
+    rb"|import[ \t]+(repro[\w.]*))",
+    re.MULTILINE,
+)
+
+
+def _module_file(package: Path, name: str) -> Path | None:
+    base = package.joinpath(*name.split(".")[1:])
+    for path in (base / "__init__.py", base.with_suffix(".py")):
+        if path.is_file():
+            return path
+    return None
+
+
+def _imports(package: Path, name: str, source: bytes) -> list[str]:
+    """The ``repro`` modules one module's ``import`` lines name."""
+    found = []
+    for indent, base, names, plain in _IMPORT.findall(source):
+        if indent and name == _LEAF:
+            continue
+        if plain:
+            found.append(plain.decode())
+            continue
+        base = base.decode()
+        names = re.sub(rb"#[^\n]*", b"", names)
+        submodules = [
+            f"{base}.{item.decode()}"
+            for item in re.findall(rb"(\w+)(?:\s+as\s+\w+)?", names)
+        ]
+        present = [sub for sub in submodules if _module_file(package, sub)]
+        found.extend(present)
+        if len(present) < len(submodules):
+            found.append(base)  # a name defined in ``base`` itself
+    return found
+
+
+def import_closure(root: str) -> dict[str, bytes]:
+    """SHA-256 of every ``repro`` module ``root`` can import, by name.
+
+    A regex scan of ``import`` lines at any indentation (function-level
+    imports count), following each ``from package import name`` to the
+    submodule when one exists and to the package's ``__init__``
+    otherwise.  Parent packages a dotted import runs are not part of it.
     """
-    import repro
-
-    return source_digest(repro)
+    return _closure(_PACKAGE, root, {})
 
 
-def _digest(kind: str, key_parts: tuple) -> str:
-    material = "\x1f".join([kind, str(FORMAT_VERSION), *map(str, key_parts)])
+def _closure(package: Path, root: str, scanned: dict) -> dict[str, bytes]:
+    closure: dict[str, bytes] = {}
+    pending = [root]
+    while pending:
+        name = pending.pop()
+        if name in closure:
+            continue
+        if name not in scanned:
+            path = _module_file(package, name)
+            if path is None:
+                scanned[name] = None
+            else:
+                source = path.read_bytes()
+                scanned[name] = (
+                    hashlib.sha256(source).digest(),
+                    _imports(package, name, source),
+                )
+        if scanned[name] is not None:
+            closure[name], imports = scanned[name]
+            pending.extend(imports)
+    return closure
+
+
+@lru_cache(maxsize=None)
+def _code_digests(package: Path) -> dict[str, str]:
+    scanned: dict = {}
+    digests = {}
+    for root in set(KINDS.values()):
+        hasher = hashlib.sha256(
+            f"python{sys.version_info[0]}.{sys.version_info[1]}".encode()
+        )
+        for name, digest in sorted(_closure(package, root, scanned).items()):
+            hasher.update(name.encode() + b"\0" + digest)
+        digests[root] = hasher.hexdigest()[:16]
+    return digests
+
+
+def code_digest(kind: str) -> str:
+    """Digest of the code that computes ``kind`` (once per process).
+
+    Hashes the bytes of every module in the import closure of the kind's
+    root (:func:`import_closure`) and the interpreter's major.minor
+    version (``random`` sequences are only promised stable within one).
+    """
+    root = KINDS.get(kind)
+    if root is None:
+        raise ConfigurationError(
+            f"unknown artifact kind {kind!r}; stored kinds: {sorted(KINDS)}"
+        )
+    return _code_digests(_PACKAGE)[root]
+
+
+def key(kind: str, *key_parts) -> str:
+    """The full key of one artifact: its kind, code digest and parts.
+
+    A kind computed from another stored value passes that value's key
+    as one of its parts, so the chain rebuilds from the first stale link.
+    """
+    material = "\x1f".join([kind, code_digest(kind), *map(str, key_parts)])
     return hashlib.sha256(material.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
 # The on-disk cache
 # ----------------------------------------------------------------------
+
+#: Bytes of the SHA-256 header in front of every stored pickle.
+_HEADER = 32
+
+
+class _HashingWriter:
+    """File wrapper hashing what :func:`pickle.dump` streams through it."""
+
+    def __init__(self, handle) -> None:
+        self.handle = handle
+        self.hasher = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.hasher.update(data)
+        return self.handle.write(data)
+
+
+class _HashingReader:
+    """File wrapper hashing what :func:`pickle.load` reads through it."""
+
+    def __init__(self, handle) -> None:
+        self.handle = handle
+        self.hasher = hashlib.sha256()
+
+    def read(self, size: int = -1) -> bytes:
+        data = self.handle.read(size)
+        self.hasher.update(data)
+        return data
+
+    def readinto(self, buffer) -> int:
+        count = self.handle.readinto(buffer)
+        self.hasher.update(memoryview(buffer)[:count])
+        return count
+
+    def readline(self) -> bytes:
+        line = self.handle.readline()
+        self.hasher.update(line)
+        return line
 
 
 class ArtifactCache:
@@ -183,7 +344,7 @@ class ArtifactCache:
 
     def path_for(self, kind: str, *key_parts) -> Path:
         """Where the artifact for this key lives (existing or not)."""
-        return self.root / str(FORMAT_VERSION) / kind / f"{_digest(kind, key_parts)}.pkl"
+        return self.root / kind / f"{key(kind, *key_parts)}.pkl"
 
     def load(self, kind: str, *key_parts) -> tuple[bool, Any]:
         """``(found, value)`` for the key; corrupt entries are evicted."""
@@ -192,13 +353,18 @@ class ArtifactCache:
         path = self.path_for(kind, *key_parts)
         try:
             with path.open("rb") as handle:
-                value = pickle.load(handle)
+                stored = handle.read(_HEADER)
+                reader = _HashingReader(handle)
+                value = pickle.load(reader)
+                reader.read()  # bytes after the pickle's end count too
+                if reader.hasher.digest() != stored:
+                    raise ValueError(f"{path} does not match its digest")
         except FileNotFoundError:
             return False, None
         except Exception:
-            # A truncated or stale pickle: drop it and recompute.  Counted
-            # separately from plain misses so on-disk corruption is visible
-            # in --metrics dumps instead of silently masquerading as a miss.
+            # A torn write, a flipped bit or an unreadable pickle: drop
+            # it and recompute.  Counted separately from plain misses so
+            # on-disk corruption is visible in --metrics dumps.
             METRICS.count("artifacts.evict")
             path.unlink(missing_ok=True)
             return False, None
@@ -215,7 +381,11 @@ class ArtifactCache:
         )
         try:
             with os.fdopen(descriptor, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(bytes(_HEADER))
+                writer = _HashingWriter(handle)
+                pickle.dump(value, writer, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.seek(0)
+                handle.write(writer.hasher.digest())
             os.replace(temp_name, path)
         except BaseException:
             try:
@@ -286,74 +456,6 @@ _CACHE = ArtifactCache()
 def get_cache() -> ArtifactCache:
     """The process-wide artifact cache."""
     return _CACHE
-
-
-# ----------------------------------------------------------------------
-# The durable service response cache
-# ----------------------------------------------------------------------
-
-#: Artifact kind holding completed service responses.
-SERVICE_RESPONSE_KIND = "service-response"
-
-
-class ResponseCache:
-    """Durable store for completed service responses.
-
-    The compression service keys entries identically to its in-flight
-    coalescing key — ``(op, canonical-JSON params, SHA-256(payload))``
-    — so a restarted server answers a repeat request byte-identically
-    from disk instead of recomputing it.  Each entry carries a CRC-32
-    digest of its binary payload, recomputed on every load: an entry
-    whose stored bytes no longer match the digest (torn write, disk
-    corruption) is evicted and treated as a miss, never served.
-
-    Entries live in the shared :class:`ArtifactCache` (so
-    ``CCRP_CACHE_DIR`` / ``CCRP_NO_CACHE`` govern them like every other
-    artifact) under the :data:`SERVICE_RESPONSE_KIND` kind.
-    """
-
-    def __init__(self, cache: ArtifactCache | None = None) -> None:
-        self._cache = cache if cache is not None else get_cache()
-
-    def get(self, key_parts: tuple) -> tuple[dict, bytes, int] | None:
-        """``(result, payload, crc32)`` for the key, or ``None``.
-
-        Verifies the stored payload against its recorded CRC-32 before
-        returning; a mismatch evicts the entry (``artifacts.evict``)
-        and reports a miss so the job is recomputed rather than served
-        corrupt.
-        """
-        found, entry = self._cache.load(SERVICE_RESPONSE_KIND, *key_parts)
-        if not found:
-            return None
-        try:
-            result = entry["result"]
-            payload = entry["payload"]
-            crc = entry["crc32"]
-        except (TypeError, KeyError):
-            METRICS.count("artifacts.evict")
-            self._evict(key_parts)
-            return None
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            METRICS.count("artifacts.evict")
-            self._evict(key_parts)
-            return None
-        return result, payload, crc
-
-    def put(self, key_parts: tuple, result: dict, payload: bytes) -> int:
-        """Persist one completed response; returns its CRC-32 digest."""
-        crc = zlib.crc32(payload) & 0xFFFFFFFF
-        self._cache.store(
-            SERVICE_RESPONSE_KIND,
-            {"result": result, "payload": bytes(payload), "crc32": crc},
-            *key_parts,
-        )
-        return crc
-
-    def _evict(self, key_parts: tuple) -> None:
-        self._cache.path_for(SERVICE_RESPONSE_KIND, *key_parts).unlink(
-            missing_ok=True
-        )
 
 
 # ----------------------------------------------------------------------

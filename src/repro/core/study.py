@@ -22,7 +22,6 @@ from repro.core.metrics import METRICS
 from repro.core.performance import ComparisonReport, SystemMetrics
 from repro.core.standard import standard_code
 from repro.lat.entry import ENTRY_BYTES, LINES_PER_ENTRY
-from repro.machine import executor
 from repro.memsys.models import get_memory_model
 from repro.pipeline.datapath import PipelineResult
 from repro.pipeline.frontend import (
@@ -64,36 +63,36 @@ class ProgramStudy:
         self.hazards = hazards
 
         cache = artifacts.get_cache()
-        text_fp = artifacts.fingerprint_bytes(self.workload.text)
-        code_fp = artifacts.code_fingerprint(self.code)
-        # Everything a trace artifact depends on (the executor's source
-        # too); image/miss-stream keys extend this with the code and
-        # cache geometry respectively.
-        self._trace_key = (
+        program = self.workload.program
+        # Each stored kind is keyed on its inputs: the program itself, or
+        # the full key of the stored value it is computed from.
+        trace_parts = (
             self.workload.name,
-            text_fp,
+            artifacts.program_fingerprint(program),
             max_instructions,
-            executor.execution_source_digest(),
         )
-        self._code_fp = code_fp
+        image_parts = (
+            artifacts.fingerprint_bytes(program.text),
+            program.text_base,
+            artifacts.code_fingerprint(self.code),
+            block_alignment,
+        )
+        self._trace_key = artifacts.key("trace", *trace_parts)
+        self._image_key = artifacts.key("image", *image_parts)
 
         with METRICS.stage("study.trace"):
             self.execution = cache.get_or_compute(
                 "trace",
                 lambda: self.workload.run(max_instructions=max_instructions),
-                *self._trace_key,
+                *trace_parts,
             )
 
         def _compress():
             compressor = ProgramCompressor(self.code, alignment=block_alignment)
-            return compressor.compress(
-                self.workload.text, text_base=self.workload.program.text_base
-            )
+            return compressor.compress(program.text, text_base=program.text_base)
 
         with METRICS.stage("study.compress"):
-            self.image = cache.get_or_compute(
-                "image", _compress, self.workload.name, text_fp, code_fp, block_alignment
-            )
+            self.image = cache.get_or_compute("image", _compress, *image_parts)
 
         self._cache_stats: dict[int, CacheStats] = {}
         self._clb_curves: dict[int, np.ndarray] = {}
@@ -111,25 +110,17 @@ class ProgramStudy:
         """Miss statistics for one cache size (memoised and disk-cached)."""
         stats = self._cache_stats.get(cache_bytes)
         if stats is None:
-
-            def _stats() -> CacheStats:
-                events = self.miss_events(cache_bytes)
-                return CacheStats(
-                    accesses=events.accesses,
-                    misses=len(events.lines),
-                    miss_lines=events.lines,
-                )
-
             with METRICS.stage("study.cache_sim"):
                 stats = artifacts.get_cache().get_or_compute(
                     "miss-stream",
-                    _stats,
-                    *self._trace_key,
-                    cache_bytes,
-                    self.image.line_size,
+                    lambda: self.miss_events(cache_bytes).cache_stats(),
+                    *self._miss_stream_parts(cache_bytes),
                 )
             self._cache_stats[cache_bytes] = stats
         return stats
+
+    def _miss_stream_parts(self, cache_bytes: int) -> tuple:
+        return (self._trace_key, cache_bytes, self.image.line_size)
 
     def clb_miss_count(self, cache_bytes: int, clb_entries: int) -> int:
         """CLB misses over the miss stream of one cache size (cached).
@@ -164,9 +155,8 @@ class ProgramStudy:
                 curve = artifacts.get_cache().get_or_compute(
                     "clb-curve",
                     _curve,
-                    *self._trace_key,
-                    cache_bytes,
-                    self.image.line_size,
+                    artifacts.key("miss-stream", *self._miss_stream_parts(cache_bytes)),
+                    LINES_PER_ENTRY,
                 )
             self._clb_curves[cache_bytes] = curve
         return curve
@@ -208,9 +198,8 @@ class ProgramStudy:
                 replay = artifacts.get_cache().get_or_compute(
                     "pipeline-replay",
                     _replay,
-                    *self._trace_key,
+                    self._trace_key,
                     self.hazards.fingerprint(),
-                    artifacts.repro_source_digest(),
                 )
             self._pipeline_replay = replay
         return replay
@@ -234,17 +223,14 @@ class ProgramStudy:
     def prefetch_key(self, config: SystemConfig) -> tuple:
         """The complete identity of one prefetching fetch-path replay.
 
-        The source digest of :mod:`repro`, the study (trace key, code
-        fingerprint, block alignment) and the machine (cache bytes,
-        memory, decoder, CLB size, policy, depth).  Keys both the
-        ``prefetch-replay`` artifact and the prefetch study's stored
+        The study (the full keys of its trace and image) and the machine
+        (cache bytes, memory, decoder, CLB size, policy, depth).  Keys both
+        the ``prefetch-replay`` artifact and the prefetch study's stored
         exact-unit snapshot (``prefetch-exact``).
         """
         return (
-            artifacts.repro_source_digest(),
-            *self._trace_key,
-            self._code_fp,
-            self.block_alignment,
+            self._trace_key,
+            self._image_key,
             config.cache_bytes,
             get_memory_model(config.memory).name,
             config.decoder.bytes_per_cycle,

@@ -30,12 +30,10 @@ Sweeps also **scale out** along two axes:
 from __future__ import annotations
 
 import csv
-import multiprocessing
 import os
 import pickle
 import traceback
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -259,6 +257,8 @@ def _pool_context():
     LRU copy-on-write (no per-worker rebuild, not even a disk load),
     then ``forkserver``, then the platform default.
     """
+    import multiprocessing  # serial runs never load the pool modules
+
     methods = multiprocessing.get_all_start_methods()
     for method in ("fork", "forkserver"):
         if method in methods:
@@ -578,6 +578,8 @@ def sweep(
     if jobs is not None:
         METRICS.gauge("sweep.workers", workers)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [configs[index::workers] for index in range(workers)]
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=_pool_context()
@@ -719,6 +721,8 @@ def sweep_many(
     if jobs is not None:
         METRICS.gauge("sweep.workers", workers)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=_pool_context()
         ) as pool:

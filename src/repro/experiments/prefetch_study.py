@@ -22,8 +22,9 @@ decompression bill that recovers, and what it costs:
   (:meth:`~repro.core.study.ProgramStudy.prefetch_replay`).
 
 The exact unit's replay is stored as a ``prefetch-exact`` artifact
-under :meth:`~repro.core.study.ProgramStudy.prefetch_key`, which
-includes the source digest of :mod:`repro`.  Every run compares the
+under :meth:`~repro.core.study.ProgramStudy.prefetch_key`; the store
+adds the digest of :mod:`repro.prefetch.engine`'s import closure, so an
+edit to the exact unit's code re-runs it.  Every run compares the
 live timeline replay with that snapshot; a missing snapshot, or one
 that differs, is replaced by a fresh run of the exact unit, and only
 that fresh run decides the verdict.  A warm run therefore skips the

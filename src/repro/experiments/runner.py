@@ -22,7 +22,6 @@ import contextlib
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -194,6 +193,8 @@ def main(argv: list[str] | None = None) -> int:
     bypass = artifacts.cache_disabled() if args.no_cache else contextlib.nullcontext()
     with bypass:
         if jobs_effective > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(
                 max_workers=jobs_effective, mp_context=_pool_context()
             ) as pool:

@@ -49,7 +49,6 @@ import struct
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from types import CodeType, FunctionType
 
 import numpy as np
@@ -101,21 +100,6 @@ _PROGRAM_CACHE: "OrderedDict[tuple, dict]" = OrderedDict()
 _PROGRAM_CACHE_LIMIT = 8
 
 
-@lru_cache(maxsize=None)
-def execution_source_digest() -> str:
-    """Source digest of the code that executes programs, once per process.
-
-    Keys everything an execution produces (stored superops here, traces
-    in :class:`~repro.core.study.ProgramStudy`), so an edit to
-    :mod:`repro.machine` or :mod:`repro.isa` never serves a stale one.
-    """
-    import repro.isa
-    import repro.machine
-    from repro.core.artifacts import source_digest
-
-    return source_digest(repro.machine, repro.isa)
-
-
 def _shared_key(program: AssembledProgram) -> tuple:
     from repro.core import artifacts
 
@@ -125,7 +109,6 @@ def _shared_key(program: AssembledProgram) -> tuple:
         artifacts.fingerprint_bytes(program.text),
         program.text_base,
         sys.implementation.cache_tag,
-        execution_source_digest(),
     )
 
 

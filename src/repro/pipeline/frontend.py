@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.direct_mapped import _check_geometry, miss_mask
+from repro.cache.stats import CacheStats
 from repro.ccrp.clb import CLB
 from repro.ccrp.refill import RefillEngine
 from repro.errors import ConfigurationError
@@ -58,6 +59,12 @@ class MissEvents:
     lines: np.ndarray
     cache_bytes: int
     line_size: int
+
+    def cache_stats(self) -> CacheStats:
+        """The events as the miss statistics of their geometry."""
+        return CacheStats(
+            accesses=self.accesses, misses=len(self.lines), miss_lines=self.lines
+        )
 
 
 def miss_events(

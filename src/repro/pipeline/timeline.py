@@ -118,7 +118,7 @@ def replay_trace(
         fetch_misses: Miss count behind ``fetch_stall_cycles``.
     """
     if isinstance(trace, ExecutionTrace):
-        indices = trace.instruction_indices.astype(np.int64)
+        indices = trace.instruction_indices  # uint32: no int64 copy of the stream
     else:
         indices = np.asarray(trace, dtype=np.int64)
     if len(indices) == 0:
@@ -132,7 +132,8 @@ def replay_trace(
 
     # Branch redirects: one penalty per dynamic-stream discontinuity —
     # identical to the exact replay's rule, in one vectorized compare.
-    discontinuities = int(np.count_nonzero(indices[1:] != indices[:-1] + 1))
+    redirects = indices[1:] != indices[:-1] + 1
+    discontinuities = int(np.count_nonzero(redirects))
     branch_stalls = discontinuities * table.hazards.taken_branch_penalty
 
     # Hazard stalls: block events -> execution counts -> dot product.
@@ -143,9 +144,9 @@ def replay_trace(
     # and charged interlocks between instructions that never issued
     # back-to-back (the ``[addu; lw; addu]`` / ``[0, 1, 1]`` case in
     # ``docs/modeling_notes.md`` §15).
-    mask = table.is_leader[indices].copy()
+    mask = table.is_leader[indices]
     mask[0] = True
-    mask[1:] |= indices[1:] != indices[:-1] + 1
+    mask[1:] |= redirects
     event_positions = np.nonzero(mask)[0]
     entry_words = indices[event_positions]
     block_ids = table.block_of_word(entry_words)

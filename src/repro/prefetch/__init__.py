@@ -25,13 +25,14 @@ Exports:
 
 from repro.prefetch.engine import (
     FETCH_POLICIES,
+    FetchReplay,
     PrefetchCore,
     PrefetchingFetchUnit,
     build_core,
     validate_fetch_policy,
 )
 from repro.prefetch.predictor import DEFAULT_BTB_ENTRIES, StaticBTB, build_btb
-from repro.prefetch.timeline import FetchReplay, simulate_fetch_stream
+from repro.prefetch.timeline import simulate_fetch_stream
 
 __all__ = [
     "DEFAULT_BTB_ENTRIES",

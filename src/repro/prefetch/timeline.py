@@ -27,7 +27,6 @@ replay's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,109 +35,9 @@ from repro.ccrp.clb import CLB
 from repro.ccrp.refill import RefillEngine
 from repro.errors import ConfigurationError
 from repro.memsys.models import MemoryModel, get_memory_model
-from repro.pipeline.frontend import FetchUnit, MissEvents, miss_events
-from repro.prefetch.engine import build_core
+from repro.pipeline.frontend import MissEvents, miss_events
+from repro.prefetch.engine import FetchReplay, build_core
 from repro.prefetch.predictor import StaticBTB
-
-
-@dataclass(frozen=True)
-class FetchReplay:
-    """Everything one fetch-path replay produced, backend-agnostic.
-
-    Instances from the exact unit and the vectorized timeline compare
-    equal field-for-field when the backends agree — the byte-identity
-    check the tests and the prefetch study both run.
-
-    Attributes:
-        policy: Fetch policy that produced the numbers.
-        accesses / misses: Fetch and cache-miss counts.
-        fetch_stall_cycles: Total front-end freeze cycles.
-        clb_penalty_cycles: The demand-charged LAT-read share of the
-            stalls (speculative LAT reads are hidden, not freezes).
-        clb_hits / clb_misses: CLB probe outcomes (demand + prefetch).
-        traffic_bytes: Instruction-memory bytes fetched (blocks + LAT).
-        issued / useful / useless / partial: Prefetch outcome counters
-            (``issued == useful + useless + in_flight_at_exit``;
-            ``partial`` is the subset of ``useful`` with a nonzero
-            residual).
-        in_flight_at_exit: Prefetches still buffered at end of trace.
-        covered_stall_cycles: Demand-freeze cycles the prefetcher hid.
-        wasted_traffic_bytes: Bytes fetched by prefetches that were
-            evicted or abandoned without covering a miss.
-    """
-
-    policy: str
-    accesses: int
-    misses: int
-    fetch_stall_cycles: int
-    clb_penalty_cycles: int
-    clb_hits: int
-    clb_misses: int
-    traffic_bytes: int
-    issued: int
-    useful: int
-    useless: int
-    partial: int
-    in_flight_at_exit: int
-    covered_stall_cycles: int
-    wasted_traffic_bytes: int
-
-    def prefetch_counters(self) -> dict[str, int]:
-        """The prefetch counter block (for metrics reports)."""
-        return {
-            "issued": self.issued,
-            "useful": self.useful,
-            "useless": self.useless,
-            "partial": self.partial,
-            "in_flight_at_exit": self.in_flight_at_exit,
-            "covered_stall_cycles": self.covered_stall_cycles,
-            "wasted_traffic_bytes": self.wasted_traffic_bytes,
-        }
-
-    @classmethod
-    def from_core(
-        cls, core, accesses: int, misses: int, stalls: int
-    ) -> "FetchReplay":
-        """Snapshot a :class:`~repro.prefetch.engine.PrefetchCore`."""
-        return cls(
-            policy=core.policy,
-            accesses=accesses,
-            misses=misses,
-            fetch_stall_cycles=stalls,
-            clb_penalty_cycles=core.clb_penalty_cycles,
-            clb_hits=core.clb_hits,
-            clb_misses=core.clb_misses,
-            traffic_bytes=core.traffic_bytes,
-            issued=core.issued,
-            useful=core.useful,
-            useless=core.useless,
-            partial=core.partial,
-            in_flight_at_exit=core.in_flight_at_exit,
-            covered_stall_cycles=core.covered_stall_cycles,
-            wasted_traffic_bytes=core.wasted_traffic_bytes,
-        )
-
-    @classmethod
-    def from_unit(cls, unit: FetchUnit, fetch_stall_cycles: int) -> "FetchReplay":
-        """Snapshot a (possibly prefetching) stateful unit's statistics."""
-        core = getattr(unit, "core", None)
-        return cls(
-            policy=core.policy if core is not None else "demand",
-            accesses=unit.accesses,
-            misses=unit.misses,
-            fetch_stall_cycles=fetch_stall_cycles,
-            clb_penalty_cycles=unit.clb_penalty_cycles,
-            clb_hits=unit.clb_hits,
-            clb_misses=unit.clb_misses,
-            traffic_bytes=core.traffic_bytes if core is not None else 0,
-            issued=core.issued if core is not None else 0,
-            useful=core.useful if core is not None else 0,
-            useless=core.useless if core is not None else 0,
-            partial=core.partial if core is not None else 0,
-            in_flight_at_exit=core.in_flight_at_exit if core is not None else 0,
-            covered_stall_cycles=core.covered_stall_cycles if core is not None else 0,
-            wasted_traffic_bytes=core.wasted_traffic_bytes if core is not None else 0,
-        )
 
 
 def simulate_fetch_stream(

@@ -13,12 +13,13 @@ One :class:`CompressionServer` owns four cooperating pieces:
   jobs coalesce onto one execution and share its result, extending the
   artifact layer's on-disk ``flock`` single-flight to cross-request,
   in-process single-flight (``service.coalesced`` counts the saves);
-* a durable response cache — completed job responses persist through
-  :class:`~repro.core.artifacts.ResponseCache` under the *same* content
-  key, each entry carrying a CRC-32 payload digest verified on load, so
-  a repeat request (including after a restart on the same
-  ``CCRP_CACHE_DIR``) is answered byte-identically with zero worker
-  work (``service.cache.hit`` / ``service.cache.miss``);
+* a durable response cache — completed job responses persist in the
+  artifact store as the ``service-response`` kind under the *same*
+  content key (which the store extends with the digest of the workers'
+  code and checks against its entry digest on load), so a repeat
+  request (including after a restart on the same ``CCRP_CACHE_DIR``)
+  is answered byte-identically with zero worker work
+  (``service.cache.hit`` / ``service.cache.miss``);
 * deadline propagation — requests may carry a ``deadline_ms`` budget;
   expired-on-arrival requests are refused, queued jobs whose deadline
   passes are shed at dispatch, and workers shed once more before
@@ -48,7 +49,7 @@ import json
 import time
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.core.artifacts import ResponseCache
+from repro.core import artifacts
 from repro.core.metrics import MetricsRegistry
 from repro.core.sweep import FailureReport
 from repro.errors import ProtocolError, ReproError, ServiceError
@@ -73,6 +74,9 @@ ERROR_CODES = {
 #: Deterministic pure functions of the request only — never ``crash``
 #: (debug) and never jobs carrying a ``_gate`` rendezvous.
 CACHED_OPS = ("compress", "decompress", "simulate")
+
+#: Artifact kind of the stored responses; its code root is the workers.
+RESPONSE_KIND = "service-response"
 
 
 def _error_code(error_type: str) -> str:
@@ -115,9 +119,9 @@ class CompressionServer:
         batch_max: Max jobs per worker round trip.
         debug: Allow the test-only ``crash`` op and ``_gate`` rendezvous
             params.  Production servers refuse both.
-        response_cache: Persist completed responses through the artifact
-            layer (keyed identically to the coalescing key, CRC-32
-            verified) so repeat requests — including after a server
+        response_cache: Persist completed responses in the artifact
+            store (keyed identically to the coalescing key) so repeat
+            requests — including after a server
             restart on the same ``CCRP_CACHE_DIR`` — are answered
             byte-identically without recomputation.  ``False`` restores
             the in-flight-only deduplication of PR 7.
@@ -139,7 +143,7 @@ class CompressionServer:
         self.queue_limit = max(1, queue_limit)
         self.batch_max = max(1, batch_max)
         self.debug = debug
-        self.response_cache = ResponseCache() if response_cache else None
+        self.response_cache = response_cache
         self.metrics = MetricsRegistry()
         self._server: asyncio.base_events.Server | None = None
         self._queue: asyncio.Queue[_Job] = asyncio.Queue()
@@ -164,6 +168,10 @@ class CompressionServer:
     async def start(self) -> None:
         """Fork the worker pool, then start accepting connections."""
         loop = asyncio.get_running_loop()
+        if self.response_cache:
+            # Scan the code closures once, before the workers fork and
+            # inherit the digests, not inside the first request.
+            artifacts.code_digest(RESPONSE_KIND)
         # Fork + warm the workers off-loop so startup never competes
         # with an already-running embedder loop.
         await loop.run_in_executor(None, self.pool.start)
@@ -411,7 +419,7 @@ class CompressionServer:
             "batch_max": self.batch_max,
             "workers": self.pool.workers,
             "pool_generation": self.pool.generation,
-            "response_cache": self.response_cache is not None,
+            "response_cache": self.response_cache,
             "closing": self._closing,
         }
         return snapshot
@@ -419,7 +427,7 @@ class CompressionServer:
     def _cacheable(self, op: str, params: dict) -> bool:
         """Whether this job's response may persist in the durable cache."""
         return (
-            self.response_cache is not None
+            self.response_cache
             and op in CACHED_OPS
             and "_gate" not in params
         )
@@ -455,11 +463,10 @@ class CompressionServer:
             # is deliberately synchronous (like the key's payload hash
             # above) so no identical request can slip past it into a
             # duplicate execution.
-            cached = self.response_cache.get(key)
-            if cached is not None:
-                result, out_payload, _ = cached
+            found, cached = artifacts.get_cache().load(RESPONSE_KIND, *key)
+            if found:
                 self.metrics.count("service.cache.hit")
-                return result, out_payload
+                return cached
             self.metrics.count("service.cache.miss")
         if self._pending >= self.queue_limit:
             self.metrics.count("service.overloaded")
@@ -538,7 +545,9 @@ class CompressionServer:
         if not self._cacheable(job.op, job.params):
             return
         try:
-            self.response_cache.put(job.key, result, payload)
+            artifacts.get_cache().store(
+                RESPONSE_KIND, (result, bytes(payload)), *job.key
+            )
             self.metrics.count("service.cache.store")
         except Exception:
             # A full disk or unwritable cache dir degrades to

@@ -181,11 +181,10 @@ def load(name: str) -> Workload:
 
     Source generation and assembly dominate a cold process start, so the
     assembled image is memoised in the on-disk artifact cache.  The image
-    is a function of the workload name and the code of
-    :mod:`repro.workloads` and :mod:`repro.isa` alone, so the key is that
-    name plus :func:`_assembly_source_digest`: a warm load neither
-    generates nor assembles, and an edit to either package rebuilds every
-    image.
+    is a function of the workload name and the code this module imports,
+    so the key is the name alone (the store adds the code digest): a warm
+    load neither generates nor assembles, and an edit to that code
+    rebuilds every image.
     """
     from repro.core import artifacts
 
@@ -198,19 +197,8 @@ def load(name: str) -> Workload:
         "assembly",
         lambda: Assembler().assemble(_build_source(spec)),
         name,
-        _assembly_source_digest(),
     )
     return Workload(name=name, program=program, executable=spec.executable)
-
-
-@lru_cache(maxsize=None)
-def _assembly_source_digest() -> str:
-    """Source digest of the code that generates and assembles workloads."""
-    import repro.isa
-    import repro.workloads
-    from repro.core.artifacts import source_digest
-
-    return source_digest(repro.workloads, repro.isa)
 
 
 @lru_cache(maxsize=None)

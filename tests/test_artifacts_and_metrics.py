@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import inspect
 import pathlib
-import pickle
 import re
 
 import pytest
@@ -39,7 +38,7 @@ def _race_one_artifact(root: str, marker: str) -> None:
             handle.write("built\n")
         return 42
 
-    assert cache.get_or_compute("kind", compute, "contended-key") == 42
+    assert cache.get_or_compute("clb-curve", compute, "contended-key") == 42
 
 
 class TestFingerprints:
@@ -55,61 +54,54 @@ class TestFingerprints:
         assert artifacts.code_fingerprint(bounded) == artifacts.code_fingerprint(bounded)
 
     def test_source_digest_changes_with_any_byte_of_either_package(
-        self, tmp_path, monkeypatch
+        self, edit_source, monkeypatch
     ):
-        import shutil
+        """The assembly key covers every byte of every module in its closure
+        (the workload generators and the assembler among them)."""
         import sys
-        import types
 
-        import repro.isa
-        import repro.workloads
-
-        copies = []
-        for package in (repro.workloads, repro.isa):
-            root = tmp_path / package.__name__
-            shutil.copytree(
-                package.__path__[0], root, ignore=shutil.ignore_patterns("__pycache__")
-            )
-            copy = types.ModuleType(package.__name__)
-            copy.__path__ = [str(root)]
-            copies.append(copy)
-        baseline = artifacts.source_digest(*copies)
-        # Content-addressed: the copy digests like the installed packages.
-        assert baseline == artifacts.source_digest(repro.workloads, repro.isa)
-
-        sources = sorted(tmp_path.rglob("*.py"))
-        assert len(sources) > 10
-        for path in sources:
+        baseline = artifacts.code_digest("assembly")
+        closure = artifacts.import_closure("repro.workloads.suite")
+        assert "repro.workloads.codegen" in closure
+        assert "repro.isa.assembler" in closure
+        package = artifacts._PACKAGE
+        for name in closure:
+            path = package.joinpath(*name.split(".")[1:]).with_suffix(".py")
+            if not path.is_file():
+                path = path.with_suffix("") / "__init__.py"
             original = path.read_bytes()
             middle = len(original) // 2
             path.write_bytes(
                 original[:middle] + bytes([original[middle] ^ 1]) + original[middle + 1 :]
             )
-            assert artifacts.source_digest(*copies) != baseline, path.name
+            artifacts._code_digests.cache_clear()
+            assert artifacts.code_digest("assembly") != baseline, name
             path.write_bytes(original)
-        assert artifacts.source_digest(*copies) == baseline
+        artifacts._code_digests.cache_clear()
+        assert artifacts.code_digest("assembly") == baseline
 
         monkeypatch.setattr(sys, "version_info", (3, 99, 0))
-        assert artifacts.source_digest(*copies) != baseline
+        artifacts._code_digests.cache_clear()
+        assert artifacts.code_digest("assembly") != baseline
 
 
 class TestArtifactCache:
     def test_round_trip(self, tmp_path):
         cache = ArtifactCache(root=tmp_path)
-        cache.store("kind", {"x": 1}, "key", 42)
-        found, value = cache.load("kind", "key", 42)
+        cache.store("clb-curve", {"x": 1}, "key", 42)
+        found, value = cache.load("clb-curve", "key", 42)
         assert found and value == {"x": 1}
 
     def test_missing_key(self, tmp_path):
         cache = ArtifactCache(root=tmp_path)
-        found, value = cache.load("kind", "nothing")
+        found, value = cache.load("clb-curve", "nothing")
         assert not found and value is None
 
     def test_keys_are_kind_and_part_sensitive(self, tmp_path):
         cache = ArtifactCache(root=tmp_path)
-        cache.store("a", 1, "k")
-        assert not cache.load("b", "k")[0]
-        assert not cache.load("a", "k", "extra")[0]
+        cache.store("clb-curve", 1, "k")
+        assert not cache.load("image", "k")[0]
+        assert not cache.load("clb-curve", "k", "extra")[0]
 
     def test_get_or_compute_computes_once(self, tmp_path):
         cache = ArtifactCache(root=tmp_path)
@@ -119,43 +111,42 @@ class TestArtifactCache:
             calls.append(1)
             return "value"
 
-        assert cache.get_or_compute("kind", compute, "k") == "value"
-        assert cache.get_or_compute("kind", compute, "k") == "value"
+        assert cache.get_or_compute("clb-curve", compute, "k") == "value"
+        assert cache.get_or_compute("clb-curve", compute, "k") == "value"
         assert len(calls) == 1
 
     def test_hit_and_miss_counters(self, tmp_path):
         cache = ArtifactCache(root=tmp_path)
         hits, misses = METRICS.counter("artifacts.hit"), METRICS.counter("artifacts.miss")
-        cache.get_or_compute("kind", lambda: 1, "counted")
+        cache.get_or_compute("clb-curve", lambda: 1, "counted")
         assert METRICS.counter("artifacts.miss") == misses + 1
-        cache.get_or_compute("kind", lambda: 1, "counted")
+        cache.get_or_compute("clb-curve", lambda: 1, "counted")
         assert METRICS.counter("artifacts.hit") == hits + 1
 
     def test_corrupt_entry_evicted_and_recomputed(self, tmp_path):
         cache = ArtifactCache(root=tmp_path)
-        cache.store("kind", [1, 2, 3], "k")
-        path = cache.path_for("kind", "k")
+        cache.store("clb-curve", [1, 2, 3], "k")
+        path = cache.path_for("clb-curve", "k")
         path.write_bytes(b"not a pickle")
-        assert cache.get_or_compute("kind", lambda: [4], "k") == [4]
-        with path.open("rb") as handle:
-            assert pickle.load(handle) == [4]
+        assert cache.get_or_compute("clb-curve", lambda: [4], "k") == [4]
+        assert cache.load("clb-curve", "k") == (True, [4])
 
     def test_corrupt_entry_counts_eviction(self, tmp_path):
         cache = ArtifactCache(root=tmp_path)
-        cache.store("kind", "value", "k")
-        cache.path_for("kind", "k").write_bytes(b"garbage")
+        cache.store("clb-curve", "value", "k")
+        cache.path_for("clb-curve", "k").write_bytes(b"garbage")
         evictions = METRICS.counter("artifacts.evict")
-        found, value = cache.load("kind", "k")
+        found, value = cache.load("clb-curve", "k")
         assert not found and value is None
         assert METRICS.counter("artifacts.evict") == evictions + 1
         # A clean miss is not an eviction.
-        cache.load("kind", "never-stored")
+        cache.load("clb-curve", "never-stored")
         assert METRICS.counter("artifacts.evict") == evictions + 1
 
     def test_atomic_writes_leave_no_temp_files(self, tmp_path):
         cache = ArtifactCache(root=tmp_path)
         for index in range(5):
-            cache.store("kind", bytes(1000), "k", index)
+            cache.store("clb-curve", bytes(1000), "k", index)
         leftovers = [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
         assert leftovers == []
 
@@ -169,8 +160,8 @@ class TestArtifactCache:
                 calls.append(1)
                 return 7
 
-            assert cache.get_or_compute("kind", compute, "k") == 7
-            assert cache.get_or_compute("kind", compute, "k") == 7
+            assert cache.get_or_compute("clb-curve", compute, "k") == 7
+            assert cache.get_or_compute("clb-curve", compute, "k") == 7
             assert len(calls) == 2
             assert list(tmp_path.rglob("*.pkl")) == []
         finally:
@@ -196,9 +187,9 @@ class TestArtifactCache:
     def test_build_counter_counts_computes(self, tmp_path):
         cache = ArtifactCache(root=tmp_path)
         builds = METRICS.counter("artifacts.build")
-        cache.get_or_compute("kind", lambda: 1, "fresh")
+        cache.get_or_compute("clb-curve", lambda: 1, "fresh")
         assert METRICS.counter("artifacts.build") == builds + 1
-        cache.get_or_compute("kind", lambda: 1, "fresh")
+        cache.get_or_compute("clb-curve", lambda: 1, "fresh")
         # A hit is not a build.
         assert METRICS.counter("artifacts.build") == builds + 1
 
@@ -221,7 +212,7 @@ class TestArtifactCache:
         monkeypatch.setattr(cache, "load", racy_load)
         coalesced = METRICS.counter("artifacts.coalesced")
         builds = METRICS.counter("artifacts.build")
-        value = cache.get_or_compute("kind", lambda: "loser", "contended")
+        value = cache.get_or_compute("clb-curve", lambda: "loser", "contended")
         assert value == "winner"
         assert METRICS.counter("artifacts.coalesced") == coalesced + 1
         assert METRICS.counter("artifacts.build") == builds
@@ -326,10 +317,10 @@ class TestStudyArtifacts:
         assert len(list(tmp_path.rglob("*.pkl"))) > first
 
     def test_execution_artifacts_follow_the_executor_source(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, tmp_path, edit_source
     ):
-        """Traces and superops are keyed on the executor's source digest:
-        an unchanged tree hits, an edited one executes and compiles again."""
+        """Traces and superops are keyed on the executor's code: an
+        unchanged tree hits, an edited one executes and compiles again."""
         monkeypatch.setenv(artifacts.ENV_CACHE_DIR, str(tmp_path))
         runs = []
         real_run = Machine.run
@@ -353,7 +344,7 @@ class TestStudyArtifacts:
         assert len(runs) == 1
         assert stored("trace") == stored("superops") == 1
 
-        monkeypatch.setattr(executor, "execution_source_digest", lambda: "edited")
+        edit_source("machine/executor.py")
         study_in_a_fresh_process()
         assert len(runs) == 2
         assert stored("trace") == stored("superops") == 2

@@ -1,15 +1,11 @@
-"""Tests for static CFG construction and trace persistence."""
+"""Tests for static CFG construction."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.errors import ReproError
 from repro.isa import Assembler
 from repro.isa.cfg import build_cfg
-from repro.machine import Machine
-from repro.machine.tracefile import load_trace, save_trace
 
 SOURCE = """
 main:
@@ -117,84 +113,3 @@ class TestControlFlowGraph:
     def test_empty_text(self):
         cfg = build_cfg(b"")
         assert cfg.block_count == 0
-
-
-class TestTraceFile:
-    def test_round_trip(self, program, tmp_path):
-        trace = Machine(program).run().trace
-        path = save_trace(trace, tmp_path / "run")
-        assert path.suffix == ".npz"
-        loaded = load_trace(path)
-        assert np.array_equal(loaded.addresses, trace.addresses)
-        assert loaded.text_base == trace.text_base
-        assert loaded.text_size == trace.text_size
-
-    def test_loaded_trace_drives_cache_simulation(self, program, tmp_path):
-        from repro.cache import simulate_trace
-
-        trace = Machine(program).run().trace
-        path = save_trace(trace, tmp_path / "run.npz")
-        loaded = load_trace(path)
-        original = simulate_trace(trace.addresses, 256)
-        replayed = simulate_trace(loaded.addresses, 256)
-        assert original.misses == replayed.misses
-
-    def test_bad_file_rejected(self, tmp_path):
-        bogus = tmp_path / "bogus.npz"
-        bogus.write_bytes(b"not a trace")
-        with pytest.raises(ReproError):
-            load_trace(bogus)
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ReproError):
-            load_trace(tmp_path / "nope.npz")
-
-    def test_block_trace_round_trip(self, program, tmp_path):
-        """A block-backed trace survives save/load without materialising."""
-        trace = Machine(program).run().trace
-        assert trace.blocks is not None  # the superop engine records blocks
-        path = save_trace(trace, tmp_path / "blocks")
-        loaded = load_trace(path)
-        assert loaded.blocks is not None
-        assert np.array_equal(loaded.blocks.events, trace.blocks.events)
-        assert len(loaded.blocks.block_addresses) == len(trace.blocks.block_addresses)
-        for ours, theirs in zip(
-            loaded.blocks.block_addresses, trace.blocks.block_addresses
-        ):
-            assert np.array_equal(ours, theirs)
-        assert np.array_equal(loaded.addresses, trace.addresses)
-        assert len(loaded) == len(trace)
-
-    def test_v1_flat_file_still_loads(self, program, tmp_path):
-        """Format-version-1 archives (flat only) stay readable."""
-        trace = Machine(program).run().trace
-        path = tmp_path / "v1.npz"
-        np.savez_compressed(
-            path,
-            addresses=trace.addresses,
-            meta=np.array([1, trace.text_base, trace.text_size], dtype=np.int64),
-        )
-        loaded = load_trace(path)
-        assert loaded.blocks is None
-        assert np.array_equal(loaded.addresses, trace.addresses)
-
-    def test_future_version_rejected(self, program, tmp_path):
-        trace = Machine(program).run().trace
-        path = tmp_path / "v9.npz"
-        np.savez_compressed(
-            path,
-            addresses=trace.addresses,
-            meta=np.array([9, trace.text_base, trace.text_size], dtype=np.int64),
-        )
-        with pytest.raises(ReproError, match="version 9"):
-            load_trace(path)
-
-    def test_corrupt_block_lengths_rejected(self, program, tmp_path):
-        trace = Machine(program).run().trace
-        path = save_trace(trace, tmp_path / "blocks")
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["block_lengths"] = arrays["block_lengths"] + 1
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(ReproError, match="corrupt"):
-            load_trace(path)

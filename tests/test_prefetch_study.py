@@ -75,8 +75,8 @@ def test_warm_run_skips_the_exact_unit(cold_result, fetch_calls):
     assert fetch_calls[0] == 0
 
 
-def test_source_edit_reruns_the_exact_unit(cold_result, fetch_calls, monkeypatch):
-    monkeypatch.setattr(artifacts, "repro_source_digest", lambda: "edited-source")
+def test_source_edit_reruns_the_exact_unit(cold_result, fetch_calls, edit_source):
+    edit_source("prefetch/engine.py")
     assert _run() == cold_result
     assert fetch_calls[0] == 3 * _trace_length()
 

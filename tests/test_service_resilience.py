@@ -21,6 +21,7 @@ from repro.errors import ProtocolError, ServiceError
 from repro.service import protocol
 from repro.service.client import ServiceClient, idempotency_key
 from repro.service.protocol import HEADER_STRUCT, FrameDecoder, encode_frame
+from repro.service.server import RESPONSE_KIND
 
 from service_harness import LiveService
 
@@ -179,14 +180,12 @@ class TestDurableResponseCache:
     def test_corrupt_cache_entry_is_evicted_and_recomputed(
         self, tmp_path, fresh_cache
     ):
-        from repro.core.artifacts import SERVICE_RESPONSE_KIND
-
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         with LiveService(str(tmp_path / "a"), workers=1) as live_a:
             with live_a.client() as client:
                 original = client.compress(TEXT)
-        entries = list(fresh_cache.rglob(f"{SERVICE_RESPONSE_KIND}/*.pkl"))
+        entries = list(fresh_cache.rglob(f"{RESPONSE_KIND}/*.pkl"))
         assert len(entries) == 1
         entries[0].write_bytes(b"not a pickle at all")
         with LiveService(str(tmp_path / "b"), workers=1) as live_b:
@@ -197,6 +196,26 @@ class TestDurableResponseCache:
         assert recomputed == original
         assert stats["counters"]["service.cache.miss"] == 1
         assert stats["counters"]["service.batched_jobs"] == 1
+
+    def test_restart_after_a_worker_code_edit_recomputes(
+        self, tmp_path, fresh_cache, edit_source
+    ):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        with LiveService(str(tmp_path / "a"), workers=1) as live_a:
+            with live_a.client() as client:
+                original = client.compress(TEXT)
+        edit_source("compression/block.py")
+        with LiveService(str(tmp_path / "b"), workers=1) as live_b:
+            with live_b.client() as client:
+                recomputed = client.compress(TEXT)
+                stats = client.stats()
+        # The stored response belongs to the old code: never replayed.
+        assert recomputed == original
+        assert stats["counters"].get("service.cache.hit", 0) == 0
+        assert stats["counters"]["service.cache.miss"] == 1
+        assert stats["counters"]["service.batched_jobs"] == 1
+        assert len(list(fresh_cache.rglob(f"{RESPONSE_KIND}/*.pkl"))) == 2
 
     def test_responses_carry_a_verified_crc(self, tmp_path, fresh_cache):
         with LiveService(str(tmp_path), workers=1) as live:

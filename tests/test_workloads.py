@@ -344,14 +344,20 @@ class TestAssemblyArtifact:
         assert warm is not cold
         assert warm.program == cold.program
 
-    def test_key_is_the_source_digest_of_workloads_and_isa(self, private_assembly_cache):
-        import repro.isa
-        import repro.workloads
-        from repro.core.artifacts import get_cache, source_digest
+    def test_key_is_the_source_digest_of_workloads_and_isa(
+        self, private_assembly_cache, edit_source
+    ):
+        from repro.core.artifacts import get_cache
 
         load("eightq")
-        key = ("eightq", source_digest(repro.workloads, repro.isa))
-        assert get_cache().path_for("assembly", *key).is_file()
+        # The name is the only key part; the store adds the digest of the
+        # code that generates and assembles it.
+        stored = get_cache().path_for("assembly", "eightq")
+        assert stored.is_file()
+        edit_source("isa/assembler.py")
+        assert not get_cache().path_for("assembly", "eightq").is_file()
+        edit_source("workloads/codegen.py")
+        assert get_cache().path_for("assembly", "eightq") != stored
 
 
 class TestInternedInstructions:
