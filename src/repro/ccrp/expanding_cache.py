@@ -29,7 +29,6 @@ from __future__ import annotations
 from repro.errors import CompressionError, ConfigurationError, IntegrityError
 from repro.ccrp.clb import CLB
 from repro.ccrp.image import CompressedImage
-from repro.core.metrics import METRICS
 from repro.faults.integrity import crc8, validate_integrity_policy
 from repro.lat.entry import ENTRY_BYTES, LINES_PER_ENTRY, LATEntry
 
@@ -172,6 +171,11 @@ class ExpandingInstructionCache:
         actual = crc8(stored)
         if actual == expected:
             return
+        # Imported here: a module-level import would make every
+        # ``repro.ccrp`` import initialise ``repro.core`` (and through its
+        # study module, ``repro.pipeline`` and ``repro.prefetch``) first.
+        from repro.core.metrics import METRICS
+
         METRICS.count("integrity.detected")
         self.integrity_events.append((line_number, expected, actual))
         if self.integrity == "strict":

@@ -37,12 +37,14 @@ from repro.errors import IntegrityError
 from repro.experiments.formats import percent, render_table
 from repro.faults.checker import (
     BlastReport,
+    BlockStore,
+    LZWStore,
     blast_baseline,
     blast_block_codec,
     blast_lzw,
     refill_survey,
 )
-from repro.faults.injector import FAULT_MODELS, FaultInjector
+from repro.faults.injector import DEFAULT_BURST_BYTES, FAULT_MODELS, FaultInjector
 from repro.faults.integrity import INTEGRITY_BYTES_PER_LINE
 from repro.workloads.suite import load
 
@@ -51,6 +53,9 @@ DEFAULT_PROGRAMS = ("eightq", "who", "matrix25a")
 
 #: Codec arms of the blast-radius table, in table order.
 CODECS = ("raw", "traditional", "bounded", "preselected", "lzw")
+
+#: The arms that compress each line on its own (with a per-line CRC).
+BLOCK_CODECS = ("traditional", "bounded", "preselected")
 
 #: Default trials per (codec, fault model, program) cell.
 DEFAULT_TRIALS = 8
@@ -185,10 +190,9 @@ class FaultStudyResult:
         than bytes it touches; LZW corruption is *not* line-bounded.
         """
         problems = []
-        block_codecs = {"traditional", "bounded", "preselected"}
         lzw_spreads = False
         for row in self.rows:
-            if row.codec in block_codecs and row.model in ("bit_flip", "byte"):
+            if row.codec in BLOCK_CODECS and row.model in ("bit_flip", "byte"):
                 if row.max_blast > 1:
                     problems.append(
                         f"{row.codec}/{row.model}: blast radius {row.max_blast} > 1 line"
@@ -198,25 +202,18 @@ class FaultStudyResult:
                         f"{row.codec}/bit_flip: CRC-8 missed "
                         f"{row.trials - row.detected} single-bit faults"
                     )
-            if row.codec in block_codecs and row.model == "burst":
-                burst_bound = max(length for _, length in _burst_bounds(self.rows))
-                if row.max_blast > burst_bound:
+            # A burst of N bytes can straddle at most N stored blocks.
+            if row.codec in BLOCK_CODECS and row.model == "burst":
+                if row.max_blast > DEFAULT_BURST_BYTES:
                     problems.append(
                         f"{row.codec}/burst: blast radius {row.max_blast} exceeds "
-                        f"the {burst_bound}-line burst bound"
+                        f"the {DEFAULT_BURST_BYTES}-line burst bound"
                     )
             if row.codec == "lzw" and row.max_span > 1:
                 lzw_spreads = True
         if not lzw_spreads:
             problems.append("lzw: no trial spread beyond one line (cascade not shown)")
         return problems
-
-
-def _burst_bounds(rows) -> list[tuple[str, int]]:
-    """A burst of N bytes can straddle at most N stored blocks."""
-    from repro.faults.injector import DEFAULT_BURST_BYTES
-
-    return [("burst", DEFAULT_BURST_BYTES)]
 
 
 def _codes_for(text: bytes) -> dict[str, HuffmanCode]:
@@ -228,34 +225,74 @@ def _codes_for(text: bytes) -> dict[str, HuffmanCode]:
     }
 
 
-def _one_trial(
-    codec: str, text: bytes, codes: dict[str, HuffmanCode], injector: FaultInjector, model: str
-) -> BlastReport:
+def _store_for(codec: str, text: bytes, codes: dict[str, HuffmanCode]):
+    """The pristine store one codec arm's trials corrupt, for one program."""
     if codec == "raw":
-        return blast_baseline(text, injector, model)
+        return text
     if codec == "lzw":
-        return blast_lzw(text, injector, model)
-    return blast_block_codec(
-        codes[codec], text, injector, model, codec_name=codec
+        return LZWStore.build(text)
+    return BlockStore.build(codes[codec], text)
+
+
+def _one_trial(codec: str, store, injector: FaultInjector, model: str) -> BlastReport:
+    if codec == "raw":
+        return blast_baseline(store, injector, model)
+    if codec == "lzw":
+        return blast_lzw(store, injector, model)
+    return blast_block_codec(store, injector, model, codec_name=codec)
+
+
+def fault_row(
+    codec: str, model: str, reports: list[BlastReport], text_bytes: list[int]
+) -> FaultRow:
+    """Aggregate one (codec, fault model) cell over its trials.
+
+    ``text_bytes`` holds the length of each program the trials ran on.
+    """
+    blasts = [report.blast_radius for report in reports]
+    crc_overhead = 0.0
+    if codec in BLOCK_CODECS:
+        # One CRC byte per 32-byte line, averaged over the corpus
+        # exactly the way Figure 5 weights its averages.
+        total_lines = sum(report.line_count for report in reports) // max(len(reports), 1)
+        original = sum(text_bytes) / len(text_bytes)
+        crc_overhead = (total_lines * INTEGRITY_BYTES_PER_LINE) / original if original else 0.0
+    return FaultRow(
+        codec=codec,
+        model=model,
+        trials=len(reports),
+        detected=sum(report.detected for report in reports),
+        mean_blast=sum(blasts) / len(blasts) if blasts else 0.0,
+        max_blast=max(blasts, default=0),
+        max_span=max((report.span for report in reports), default=0),
+        cascades=sum(report.cascaded for report in reports),
+        crc_overhead=crc_overhead,
     )
 
 
 def _refill_trials(
     programs: tuple[str, ...], trials: int, seed: int
 ) -> tuple[RefillRow, ...]:
-    """Corrupt the serialised memory image and replay the refill walk."""
-    rows = []
-    for target_index, target in enumerate(REFILL_TARGETS):
-        injector = FaultInjector(seed * 1009 + target_index)
-        total = detected = decode_failures = strict_traps = 0
-        for name in programs:
-            workload = load(name)
-            compressor = ProgramCompressor(standard_code(), integrity=True)
-            image = compressor.compress(workload.text, text_base=workload.program.text_base)
-            memory = image.memory_image()
-            lat_bytes = image.lat.storage_bytes
+    """Corrupt the serialised memory image and replay the refill walk.
+
+    One injector per target, so each target draws the same faults
+    whatever the program order; each program is compressed once.
+    """
+    injectors = [
+        FaultInjector(seed * 1009 + target_index)
+        for target_index in range(len(REFILL_TARGETS))
+    ]
+    # Per target: trials, detected, decode failures, strict traps.
+    counts = [[0, 0, 0, 0] for _ in REFILL_TARGETS]
+    for name in programs:
+        workload = load(name)
+        compressor = ProgramCompressor(standard_code(), integrity=True)
+        image = compressor.compress(workload.text, text_base=workload.program.text_base)
+        memory = image.memory_image()
+        lat_bytes = image.lat.storage_bytes
+        for target, injector, count in zip(REFILL_TARGETS, injectors, counts):
             for _ in range(trials):
-                total += 1
+                count[0] += 1
                 if target == "lat":
                     region, record = injector.inject(memory[:lat_bytes], "bit_flip", target)
                     corrupted = region + memory[lat_bytes:]
@@ -264,23 +301,25 @@ def _refill_trials(
                     corrupted = memory[:lat_bytes] + region
                 cache, errors = refill_survey(image, "detect", corrupted)
                 if cache.integrity_events:
-                    detected += 1
+                    count[1] += 1
                 if errors:
-                    decode_failures += 1
+                    count[2] += 1
                 try:
                     refill_survey(image, "strict", corrupted)
                 except IntegrityError:
-                    strict_traps += 1
-        rows.append(
-            RefillRow(
-                target=target,
-                trials=total,
-                detected=detected,
-                decode_failures=decode_failures,
-                strict_traps=strict_traps,
-            )
+                    count[3] += 1
+    return tuple(
+        RefillRow(
+            target=target,
+            trials=total,
+            detected=detected,
+            decode_failures=decode_failures,
+            strict_traps=strict_traps,
         )
-    return tuple(rows)
+        for target, (total, detected, decode_failures, strict_traps) in zip(
+            REFILL_TARGETS, counts
+        )
+    )
 
 
 def run_fault_study(
@@ -293,51 +332,37 @@ def run_fault_study(
     One :class:`~repro.faults.injector.FaultInjector` per (codec, model)
     cell, deterministically seeded from ``seed`` and the cell's position,
     so any single row can be reproduced without re-running the rest.
+    Programs are the outer loop and codecs the next: each cell's
+    injector draws the same sequence whatever the loop order, and only
+    one pristine store is alive at a time.
     """
-    texts = {name: load(name).text for name in programs}
-    codes = {name: _codes_for(text) for name, text in texts.items()}
-    rows = []
-    for codec_index, codec in enumerate(CODECS):
-        for model_index, model in enumerate(FAULT_MODELS):
-            injector = FaultInjector(
-                seed + 193 * codec_index + 7919 * model_index
-            )
-            reports: list[BlastReport] = []
-            for name in programs:
+    injectors = {
+        (codec, model): FaultInjector(seed + 193 * codec_index + 7919 * model_index)
+        for codec_index, codec in enumerate(CODECS)
+        for model_index, model in enumerate(FAULT_MODELS)
+    }
+    reports: dict[tuple[str, str], list[BlastReport]] = {cell: [] for cell in injectors}
+    text_bytes = []
+    for name in programs:
+        text = load(name).text
+        text_bytes.append(len(text))
+        codes = _codes_for(text)
+        for codec in CODECS:
+            store = _store_for(codec, text, codes)
+            for model in FAULT_MODELS:
+                injector = injectors[codec, model]
                 for _ in range(trials_per_case):
-                    reports.append(
-                        _one_trial(codec, texts[name], codes[name], injector, model)
-                    )
-            blasts = [report.blast_radius for report in reports]
-            crc_overhead = 0.0
-            if codec in ("traditional", "bounded", "preselected"):
-                # One CRC byte per 32-byte line, averaged over the corpus
-                # exactly the way Figure 5 weights its averages.
-                total_lines = sum(report.line_count for report in reports) // max(
-                    len(reports), 1
-                )
-                original = sum(len(texts[name]) for name in programs) / len(programs)
-                crc_overhead = (
-                    (total_lines * INTEGRITY_BYTES_PER_LINE) / original if original else 0.0
-                )
-            rows.append(
-                FaultRow(
-                    codec=codec,
-                    model=model,
-                    trials=len(reports),
-                    detected=sum(report.detected for report in reports),
-                    mean_blast=sum(blasts) / len(blasts) if blasts else 0.0,
-                    max_blast=max(blasts, default=0),
-                    max_span=max((report.span for report in reports), default=0),
-                    cascades=sum(report.cascaded for report in reports),
-                    crc_overhead=crc_overhead,
-                )
-            )
+                    reports[codec, model].append(_one_trial(codec, store, injector, model))
+            del store  # freed before the next store is built
+    rows = tuple(
+        fault_row(codec, model, cell_reports, text_bytes)
+        for (codec, model), cell_reports in reports.items()
+    )
     refill_rows = _refill_trials(programs, trials_per_case, seed)
     return FaultStudyResult(
         seed=seed,
         trials_per_case=trials_per_case,
         programs=tuple(programs),
-        rows=tuple(rows),
+        rows=rows,
         refill_rows=refill_rows,
     )

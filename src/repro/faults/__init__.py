@@ -5,11 +5,14 @@ storage-fault injection (:mod:`repro.faults.injector`), a per-line CRC
 integrity layer with strict/detect/off policies
 (:mod:`repro.faults.integrity`), and a differential golden-model checker
 that measures how far one defect spreads under each codec
-(:mod:`repro.faults.checker`).
+(:mod:`repro.faults.checker`), which decodes only what each fault
+can reach.
 """
 
 from repro.faults.checker import (
     BlastReport,
+    BlockStore,
+    LZWStore,
     blast_baseline,
     blast_block_codec,
     blast_lzw,
@@ -36,6 +39,7 @@ from repro.faults.integrity import (
 
 __all__ = [
     "BlastReport",
+    "BlockStore",
     "DEFAULT_BURST_BYTES",
     "FAULT_MODELS",
     "FAULT_TARGETS",
@@ -43,6 +47,7 @@ __all__ = [
     "FaultRecord",
     "INTEGRITY_BYTES_PER_LINE",
     "INTEGRITY_POLICIES",
+    "LZWStore",
     "add_integrity",
     "blast_baseline",
     "blast_block_codec",

@@ -5,31 +5,42 @@ The paper's central robustness property is *block-bounded* damage: each
 corrupt at most the line it lands in, while a whole-file codec like Unix
 ``compress`` loses everything from the defect to end-of-file (the decoder
 dictionary diverges and never recovers).  This module measures that
-*blast radius* empirically: inject a fault, decode everything, and diff
-the result line by line against the original program.
+*blast radius* empirically: inject a fault, decode what it can reach,
+and diff the result line by line against the original program.
 
-Two decode paths are covered:
+Two decode paths are covered, each against a pristine store built once
+per program:
 
 * :func:`blast_block_codec` — any per-line Huffman variant (traditional,
-  bounded, preselected) through the block codec with the bypass rule;
-* :func:`blast_lzw` — the whole-file ``compress`` clone.
+  bounded, preselected) through the block codec with the bypass rule,
+  over a :class:`BlockStore`: only the one or two blocks the fault
+  overlaps are re-sliced, checked and decoded, because every other
+  block is the pristine one;
+* :func:`blast_lzw` — the whole-file ``compress`` clone, over an
+  :class:`LZWStore`: the decode resumes at the first code the fault
+  reaches, because every code before it decodes as in the pristine run.
 
 Both return a :class:`BlastReport`; a line is *corrupted* if its decoded
 bytes differ from the golden program or were never produced at all
-(a truncated LZW decode loses the tail outright).
+(a truncated LZW decode loses the tail outright).  ``tests/fault_oracle.py``
+keeps the whole-program walks these trials are checked against.
 """
 
 from __future__ import annotations
 
-import functools
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from repro.compression.block import DEFAULT_LINE_SIZE, BlockCompressor, CompressedBlock
+import numpy as np
+
+from repro.compression.block import DEFAULT_LINE_SIZE, BlockCompressor
 from repro.compression.huffman import HuffmanCode
-from repro.compression.lzw import HEADER_BYTES, lzw_compress, lzw_decompress
-from repro.errors import IntegrityError, ReproError
+from repro.compression.lzw import HEADER_BYTES, LZWIndex, lzw_compress, lzw_decompress
+from repro.errors import CompressionError, IntegrityError, ReproError
 from repro.faults.injector import FaultInjector, FaultRecord
 from repro.faults.integrity import crc8, line_crcs
+from repro.lat.entry import ENTRY_BYTES, LINES_PER_ENTRY
 
 
 @dataclass(frozen=True)
@@ -95,90 +106,139 @@ def diff_lines(golden: bytes, decoded: bytes, line_size: int = DEFAULT_LINE_SIZE
     return tuple(corrupted)
 
 
-# The pristine store a trial corrupts is a pure function of its inputs, so
-# it is built once per program and shared.  Only immutable values are
-# cached: every trial injects into, re-slices and decodes its own copy.
+@dataclass(frozen=True)
+class BlockStore:
+    """The pristine block-compressed store of one program under one code.
+
+    Built once per program and shared by its trials, which never mutate
+    it: each trial injects into, re-slices and decodes its own copy.
+
+    Attributes:
+        code: The Huffman code the blocks are compressed with.
+        golden: The program, zero-padded to whole lines.
+        line_size: Bytes per line (and per block before compression).
+        compressed: Per block, whether it is Huffman-coded (else bypassed).
+        crcs: The per-line CRC table of the blocks.
+        stored: The concatenated stored blocks (what sits in memory).
+        ends: Cumulative end offset of each block within ``stored``.
+    """
+
+    code: HuffmanCode
+    golden: bytes
+    line_size: int
+    compressed: tuple[bool, ...]
+    crcs: bytes
+    stored: bytes
+    ends: tuple[int, ...]
+
+    @classmethod
+    def build(
+        cls,
+        code: HuffmanCode,
+        text: bytes,
+        line_size: int = DEFAULT_LINE_SIZE,
+        alignment: int = 1,
+    ) -> BlockStore:
+        """Compress ``text``; raise unless the store decodes back to it."""
+        golden = pad_to_lines(text, line_size)
+        compressor = BlockCompressor(code, line_size=line_size, alignment=alignment)
+        blocks = tuple(compressor.compress_program(golden))
+        decoded = iter(
+            code.decode_lines(
+                [block.data for block in blocks if block.is_compressed],
+                line_size,
+                errors="none",
+            )
+        )
+        lines = [next(decoded) if block.is_compressed else block.data for block in blocks]
+        if None in lines or b"".join(lines) != golden:
+            raise CompressionError(
+                f"pristine block store of {len(blocks)} lines does not decode to its program"
+            )
+        return cls(
+            code=code,
+            golden=golden,
+            line_size=line_size,
+            compressed=tuple(block.is_compressed for block in blocks),
+            crcs=line_crcs(blocks),
+            stored=b"".join(block.data for block in blocks),
+            ends=tuple(accumulate(block.stored_size for block in blocks)),
+        )
 
 
-@functools.lru_cache(maxsize=8)
-def _lzw_store(golden: bytes) -> bytes:
-    """The whole-file ``compress`` blob of ``golden``."""
-    return lzw_compress(golden)
+@dataclass(frozen=True)
+class LZWStore:
+    """The pristine whole-file ``compress`` store of one program.
 
+    Attributes:
+        golden: The program, zero-padded to whole lines.
+        line_size: Bytes per line of the diff.
+        blob: The ``compress`` blob (header and payload).
+        index: Its one pristine decode, indexed by code.
+    """
 
-@functools.lru_cache(maxsize=32)
-def _block_store(
-    code: HuffmanCode, golden: bytes, line_size: int, alignment: int
-) -> tuple[tuple[CompressedBlock, ...], bytes, bytes]:
-    """``(blocks, per-line CRCs, concatenated stored bytes)`` of ``golden``."""
-    compressor = BlockCompressor(code, line_size=line_size, alignment=alignment)
-    blocks = tuple(compressor.compress_program(golden))
-    return blocks, line_crcs(blocks), b"".join(block.data for block in blocks)
+    golden: bytes
+    line_size: int
+    blob: bytes
+    index: LZWIndex
+
+    @classmethod
+    def build(cls, text: bytes, line_size: int = DEFAULT_LINE_SIZE) -> LZWStore:
+        """Compress ``text``; raise unless the blob decodes back to it."""
+        golden = pad_to_lines(text, line_size)
+        blob = lzw_compress(golden)
+        index = LZWIndex.build(blob)
+        if index.output != golden:
+            raise CompressionError("pristine LZW store does not decode to its program")
+        return cls(golden=golden, line_size=line_size, blob=blob, index=index)
 
 
 def blast_block_codec(
-    code: HuffmanCode,
-    text: bytes,
+    store: BlockStore,
     injector: FaultInjector,
     model: str,
     codec_name: str = "block",
-    line_size: int = DEFAULT_LINE_SIZE,
-    alignment: int = 1,
 ) -> BlastReport:
     """Inject one fault into a block-compressed store and assess the damage.
 
     The fault lands in the concatenated stored blocks (what actually sits
-    in instruction memory); every block is then decoded *independently* —
-    the refill engine's contract — and diffed against the golden program.
-    Detection is the per-line CRC of :mod:`repro.faults.integrity`.
+    in instruction memory).  Storage faults change bytes, never the
+    LAT's length records, so the corrupted store is re-sliced at the
+    *original* block boundaries, and only the blocks the faulted bytes
+    overlap can differ from the pristine ones: those are checked
+    against their per-line CRC (:mod:`repro.faults.integrity`) and
+    decoded *independently* — the refill engine's contract — then
+    diffed against the golden program.
     """
-    golden = pad_to_lines(text, line_size)
-    blocks, golden_crcs, stored = _block_store(code, golden, line_size, alignment)
-    corrupted_store, record = injector.inject(stored, model)
+    corrupted_store, record = injector.inject(store.stored, model)
+    ends = store.ends
+    first = bisect_right(ends, record.offset)
+    last = bisect_right(ends, record.offset + record.length - 1)
 
-    # Re-slice the corrupted store at the *original* block boundaries —
-    # storage faults change bytes, never the LAT's length records.
-    slices = []
-    offset = 0
-    for block in blocks:
-        slices.append(corrupted_store[offset : offset + block.stored_size])
-        offset += block.stored_size
-
-    # One batch decode over every compressed slice; a None slot means the
-    # decoder refused that line, and the scalar reference is re-run on it
-    # to recover the exact error message (refusals are rare — one per
-    # injected fault at most — so this stays off the hot path).
-    batch = iter(
-        code.decode_lines(
-            [data for data, block in zip(slices, blocks) if block.is_compressed],
-            line_size,
-            errors="none",
-        )
-    )
-    decoded = bytearray()
+    line_size = store.line_size
+    corrupted_lines = []
     detected = False
     decode_error = None
-    for index, (data, block) in enumerate(zip(slices, blocks)):
-        if crc8(data) != golden_crcs[index]:
+    for index in range(first, last + 1):
+        data = corrupted_store[ends[index - 1] if index else 0 : ends[index]]
+        if crc8(data) != store.crcs[index]:
             detected = True
-        if not block.is_compressed:
-            decoded.extend(data)
-            continue
-        line = next(batch)
-        if line is not None:
-            decoded.extend(line)
-            continue
-        try:
-            code.decode_fast(data, line_size)
-        except ReproError as error:
-            # The decoder refused the line: functionally a lost line.
-            decode_error = str(error)
-        decoded.extend(bytes(line_size))
+        if not store.compressed[index]:
+            line = data
+        else:
+            try:
+                line = store.code.decode_fast(data, line_size)
+            except ReproError as error:
+                # The decoder refused the line: functionally a lost line.
+                decode_error = str(error)
+                line = bytes(line_size)
+        if line != store.golden[index * line_size : (index + 1) * line_size]:
+            corrupted_lines.append(index)
     return BlastReport(
         codec=codec_name,
         record=record,
-        line_count=len(blocks),
-        corrupted_lines=diff_lines(golden, bytes(decoded), line_size),
+        line_count=len(store.ends),
+        corrupted_lines=tuple(corrupted_lines),
         detected=detected,
         decode_error=decode_error,
     )
@@ -207,23 +267,20 @@ def blast_baseline(
     )
 
 
-def blast_lzw(
-    text: bytes,
-    injector: FaultInjector,
-    model: str,
-    line_size: int = DEFAULT_LINE_SIZE,
-) -> BlastReport:
+def blast_lzw(store: LZWStore, injector: FaultInjector, model: str) -> BlastReport:
     """Inject one fault into a whole-file LZW store and assess the damage.
 
     The fault lands in the LZW payload (past the ``compress`` magic
-    header).  There is no per-line integrity for a whole-file codec;
-    ``detected`` records whether the *stream itself* rejected the
-    corruption (an invalid dictionary code), which is the only detection
-    ``compress`` offers.
+    header).  Every code before the first one whose bits the fault
+    reaches decodes exactly as in the pristine run, so the decode resumes
+    there (:meth:`~repro.compression.lzw.LZWIndex.checkpoint`) and only
+    lines from that point on are diffed.  There is no per-line integrity
+    for a whole-file codec; ``detected`` records whether the *stream
+    itself* rejected the corruption (an invalid dictionary code), which
+    is the only detection ``compress`` offers.
     """
-    golden = pad_to_lines(text, line_size)
-    blob = _lzw_store(golden)
-    payload, record = injector.inject(blob[HEADER_BYTES:], model)
+    golden, line_size = store.golden, store.line_size
+    payload, record = injector.inject(store.blob[HEADER_BYTES:], model)
     record = FaultRecord(
         model=record.model,
         target=record.target,
@@ -232,22 +289,51 @@ def blast_lzw(
         bit=record.bit,
         masks=record.masks,
     )
+    checkpoint = store.index.checkpoint(8 * (record.offset - HEADER_BYTES))
     detected = False
     decode_error = None
     try:
-        decoded = lzw_decompress(blob[:HEADER_BYTES] + payload)
+        decoded = lzw_decompress(store.blob[:HEADER_BYTES] + payload, resume=checkpoint)
     except ReproError as error:
         detected = True
         decode_error = str(error)
         decoded = b""
+    # Lines wholly before the resume point were decoded as in the pristine run.
+    clean = 0
+    if checkpoint is not None and not detected:
+        clean = checkpoint.output_bytes // line_size * line_size
     return BlastReport(
         codec="lzw",
         record=record,
         line_count=len(golden) // line_size,
-        corrupted_lines=diff_lines(golden, decoded, line_size),
+        corrupted_lines=tuple(
+            clean // line_size + line
+            for line in diff_lines(golden[clean:], decoded[clean:], line_size)
+        ),
         detected=detected,
         decode_error=decode_error,
     )
+
+
+def _touched_lines(image, memory_image: bytes | None) -> np.ndarray:
+    """Lines whose refill inputs differ between ``memory_image`` and the image's own.
+
+    A refill reads the line's 8-byte LAT entry and then the stored range
+    that entry names, so a line whose entry and pristine stored range
+    both match the pristine memory image fetches exactly the pristine
+    block: the same bytes, the same CRC, the same decode.
+    """
+    if memory_image is None:
+        return np.empty(0, dtype=np.int64)
+    pristine = np.frombuffer(image.memory_image(), dtype=np.uint8)
+    changed = np.flatnonzero(pristine != np.frombuffer(memory_image, dtype=np.uint8))
+    lat_bytes = image.lat.storage_bytes
+    in_lat = changed[changed < lat_bytes] // ENTRY_BYTES
+    from_lat = (in_lat[:, None] * LINES_PER_ENTRY + np.arange(LINES_PER_ENTRY)).ravel()
+    ends = np.cumsum([block.stored_size for block in image.blocks]) + lat_bytes
+    from_code = np.searchsorted(ends, changed[changed >= lat_bytes], side="right")
+    lines = np.union1d(from_lat, from_code)
+    return lines[lines < image.line_count]
 
 
 def refill_survey(
@@ -256,18 +342,24 @@ def refill_survey(
     memory_image: bytes | None = None,
     cache_bytes: int = 1024,
 ):
-    """Walk every line of an image through the functional refill path.
+    """Walk the lines a corrupted memory image can change through the refill path.
 
     Runs an :class:`~repro.ccrp.expanding_cache.ExpandingInstructionCache`
-    over the whole program (optionally against a corrupted copy of the
-    stored memory image) and returns ``(cache, decode_errors)``: the
-    cache's ``integrity_events`` record what the refill-time CRC checks
-    saw, and ``decode_errors`` lists ``(line, message)`` for lines whose
-    corrupted bytes the Huffman decoder refused outright.  Under
-    ``strict`` the first corrupt line raises
-    :class:`~repro.errors.IntegrityError`, exactly as the hardware trap
-    would — decode errors on unchecked corruption still surface as their
-    own :class:`~repro.errors.ReproError` subclasses.
+    against ``memory_image`` (a corrupted copy of the stored memory
+    image; the image's own when ``None``) and returns
+    ``(cache, decode_errors)``: the cache's ``integrity_events`` record
+    what the refill-time CRC checks saw, and ``decode_errors`` lists
+    ``(line, message)`` for lines whose corrupted bytes the Huffman
+    decoder refused outright.  Under ``strict`` the first corrupt line
+    raises :class:`~repro.errors.IntegrityError`, exactly as the hardware
+    trap would — decode errors on unchecked corruption still surface as
+    their own :class:`~repro.errors.ReproError` subclasses.
+
+    Only lines whose LAT entry or pristine stored range holds a byte that
+    differs from the pristine memory image are walked, in program order:
+    every other line fetches its pristine block, which passes its CRC
+    and decodes, so the events, errors and first trap are those of a
+    walk over every line.
     """
     from repro.ccrp.expanding_cache import ExpandingInstructionCache
 
@@ -279,7 +371,7 @@ def refill_survey(
     )
     decode_errors: list[tuple[int, str]] = []
     base = image.text_base
-    for line in range(image.line_count):
+    for line in _touched_lines(image, memory_image).tolist():
         try:
             cache.read_line(base + line * image.line_size)
         except IntegrityError:

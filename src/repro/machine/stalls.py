@@ -109,79 +109,3 @@ class StallModel:
 
 #: The default stall model used throughout the experiments.
 R2000_STALLS = StallModel()
-
-
-@dataclass(frozen=True)
-class PreciseHiLoModel:
-    """Dependence-aware HI/LO interlock model.
-
-    The flat :class:`StallModel` charges every multiply/divide its full
-    latency, as if ``mfhi``/``mflo`` always followed immediately.  The
-    R2000's multiply unit actually runs concurrently with the integer
-    pipeline: the stall is only the *remaining* latency when the result
-    is read.  This model replays the dynamic trace and charges exactly
-    that — the gap between issue and first HI/LO read absorbs latency.
-
-    Used by the stall-model ablation to bound how much the flat model
-    overstates multiply/divide stalls (FP latencies are still charged
-    flat; tracking every FP register dependence is out of scope for a
-    trace-level model, and the paper's pixie data is coarser still).
-
-    Attributes:
-        mult_cycles: Cycles until HI/LO are ready after a multiply.
-        div_cycles: Cycles until HI/LO are ready after a divide.
-        flat_fp: Per-mnemonic extra cycles for everything that is not a
-            multiply/divide (defaults to the flat model's FP latencies).
-    """
-
-    mult_cycles: int = 12
-    div_cycles: int = 35
-    flat_fp: dict[str, int] = field(
-        default_factory=lambda: {
-            mnemonic: cycles
-            for mnemonic, cycles in _R2000_EXTRA_CYCLES.items()
-            if mnemonic not in ("mult", "multu", "div", "divu")
-        }
-    )
-
-    def stall_cycles(
-        self,
-        instruction_indices: np.ndarray,
-        instructions: tuple[Instruction, ...],
-    ) -> int:
-        """Total stall cycles with concurrency-aware HI/LO accounting."""
-        # Flat part: FP and conversion latencies.
-        get = self.flat_fp.get
-        flat_costs = np.array(
-            [get(instruction.mnemonic, 0) for instruction in instructions],
-            dtype=np.int64,
-        )
-        total = 0
-        if flat_costs.max(initial=0) > 0 and len(instruction_indices):
-            counts = np.bincount(instruction_indices, minlength=len(flat_costs))
-            total += int(np.dot(counts[: len(flat_costs)], flat_costs))
-
-        # Precise part: walk only the HI/LO-relevant dynamic events.
-        kind = np.zeros(len(instructions), dtype=np.int8)
-        for index, instruction in enumerate(instructions):
-            if instruction.mnemonic in ("mult", "multu"):
-                kind[index] = 1
-            elif instruction.mnemonic in ("div", "divu"):
-                kind[index] = 2
-            elif instruction.mnemonic in ("mfhi", "mflo"):
-                kind[index] = 3
-        if not kind.any() or len(instruction_indices) == 0:
-            return total
-        event_kinds = kind[instruction_indices]
-        positions = np.nonzero(event_kinds)[0]
-        ready_at = -1  # position (in instructions) when HI/LO become valid
-        for position in positions.tolist():
-            event = event_kinds[position]
-            if event == 1:
-                ready_at = position + self.mult_cycles
-            elif event == 2:
-                ready_at = position + self.div_cycles
-            elif position < ready_at:
-                total += ready_at - position
-                ready_at = position  # the read completes once data arrives
-        return total

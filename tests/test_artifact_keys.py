@@ -36,15 +36,15 @@ PAPER_KINDS = tuple(kind for kind in artifacts.KINDS if kind != "service-respons
 
 #: Modules in each root's closure, from a scan of this tree.
 CLOSURE_SIZES = {
-    "repro.machine.executor": 14,
-    "repro.workloads.suite": 24,
+    "repro.machine.executor": 13,
+    "repro.workloads.suite": 23,
     "repro.ccrp.compressor": 9,
     "repro.pipeline.frontend": 15,
     "repro.ccrp.stackdist": 1,
-    "repro.pipeline.timeline": 10,
-    "repro.prefetch.timeline": 22,
-    "repro.prefetch.engine": 21,
-    "repro.service.workers": 56,
+    "repro.pipeline.timeline": 9,
+    "repro.prefetch.timeline": 21,
+    "repro.prefetch.engine": 20,
+    "repro.service.workers": 55,
 }
 
 #: The stored kinds whose full keys each kind carries, directly or not.

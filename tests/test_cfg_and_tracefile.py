@@ -1,11 +1,11 @@
-"""Tests for static CFG construction."""
+"""Tests for static control-flow analysis: block leaders and transfer edges."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.isa import Assembler
-from repro.isa.cfg import build_cfg
+from repro.isa.cfg import find_leaders, static_transfer_targets
 
 SOURCE = """
 main:
@@ -32,84 +32,67 @@ def program():
     return Assembler().assemble(SOURCE)
 
 
+def _edges(program):
+    return static_transfer_targets(program.instructions)
+
+
 class TestControlFlowGraph:
     def test_leaders_found(self, program):
-        cfg = build_cfg(program.text)
-        assert program.labels["loop"] in cfg.blocks
-        assert program.labels["helper"] in cfg.blocks
-        assert program.labels["done"] in cfg.blocks
+        leaders = find_leaders(program.instructions)
+        assert program.labels["loop"] in leaders
+        assert program.labels["helper"] in leaders
+        assert program.labels["done"] in leaders
 
     def test_loop_back_edge(self, program):
-        cfg = build_cfg(program.text)
-        loop = cfg.blocks[program.labels["loop"]]
-        assert program.labels["loop"] in loop.successors  # taken
-        assert loop.end in loop.successors  # fall-through
-        assert loop.terminator == "bne"
+        branch = program.labels["loop"] + 4  # bnez, after the addiu
+        assert (branch, program.labels["loop"]) in _edges(program)
+        # The fall-through past the delay slot starts a block.
+        assert branch + 8 in find_leaders(program.instructions)
 
     def test_delay_slot_belongs_to_branch_block(self, program):
-        cfg = build_cfg(program.text)
-        loop = cfg.blocks[program.labels["loop"]]
-        # addiu + bnez + nop = 3 instructions in the loop block
-        assert loop.instruction_count == 3
+        leaders = sorted(find_leaders(program.instructions))
+        loop = program.labels["loop"]
+        # addiu + bnez + nop = 3 instructions before the next leader
+        assert leaders[leaders.index(loop) + 1] == loop + 12
 
     def test_call_block_falls_through(self, program):
-        cfg = build_cfg(program.text)
-        call_block = cfg.block_at(program.labels["loop"] + 12)
-        assert call_block.terminator == "jal"
-        assert call_block.successors == (call_block.end,)
+        call = program.labels["loop"] + 12
+        assert program.instructions[call // 4].mnemonic == "jal"
+        assert (call, program.labels["helper"]) in _edges(program)
+        assert call + 8 in find_leaders(program.instructions)
 
     def test_unconditional_b_has_single_successor(self, program):
-        cfg = build_cfg(program.text)
-        jump_block = next(
-            block for block in cfg.blocks.values() if block.terminator == "beq"
-        )
-        assert jump_block.successors == (program.labels["done"],)
+        jump = program.labels["loop"] + 20
+        assert program.instructions[jump // 4].mnemonic == "beq"
+        assert [target for source, target in _edges(program) if source == jump] == [
+            program.labels["done"]
+        ]
 
     def test_jr_block_has_no_successors(self, program):
-        cfg = build_cfg(program.text)
-        helper = cfg.blocks[program.labels["helper"]]
-        assert helper.terminator == "jr"
-        assert helper.successors == ()
-
-    def test_block_at_interior_address(self, program):
-        cfg = build_cfg(program.text)
-        loop_start = program.labels["loop"]
-        assert cfg.block_at(loop_start + 4).start == loop_start
-        with pytest.raises(KeyError):
-            cfg.block_at(len(program.text) + 64)
-
-    def test_reachability(self, program):
-        cfg = build_cfg(program.text)
-        reachable = cfg.reachable_from(0)
-        assert program.labels["loop"] in reachable
-        assert program.labels["done"] in reachable
-        # helper is only reached via jal (a call edge is fall-through in
-        # this CFG), so it is not in the *jump* reachability set.
-        assert program.labels["helper"] not in reachable
+        helper = program.labels["helper"]
+        assert program.instructions[helper // 4].mnemonic == "jr"
+        assert all(source != helper for source, _ in _edges(program))
 
     def test_blocks_partition_text(self, program):
-        cfg = build_cfg(program.text)
-        covered = sorted(
-            (block.start, block.end) for block in cfg.blocks.values()
-        )
-        position = 0
-        for start, end in covered:
-            assert start == position
-            position = end
-        assert position == len(program.text)
-
-    def test_stats_helpers(self, program):
-        cfg = build_cfg(program.text)
-        assert cfg.block_count == len(cfg.blocks)
-        assert cfg.average_block_bytes() > 0
+        # Blocks carved at the leaders cover the text exactly: the first
+        # starts at the entry and every one starts on a word inside it.
+        leaders = sorted(find_leaders(program.instructions))
+        assert leaders[0] == 0
+        assert all(leader % 4 == 0 and leader < len(program.text) for leader in leaders)
+        edges = _edges(program)
+        assert {target for _, target in edges} <= set(leaders)
 
     def test_workload_cfg_smoke(self):
         from repro.workloads import load
 
-        cfg = build_cfg(load("eightq").text)
-        assert cfg.block_count > 50
-        assert 8 <= cfg.average_block_bytes() < 200
+        workload = load("eightq")
+        instructions = workload.program.instructions
+        leaders = find_leaders(instructions)
+        assert len(leaders) > 50
+        assert 8 <= 4 * len(instructions) / len(leaders) < 200
+        text_end = 4 * len(instructions)
+        assert all(0 <= target < text_end for _, target in static_transfer_targets(instructions))
 
     def test_empty_text(self):
-        cfg = build_cfg(b"")
-        assert cfg.block_count == 0
+        assert find_leaders(()) == set()
+        assert static_transfer_targets(()) == []

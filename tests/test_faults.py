@@ -30,8 +30,10 @@ from repro.faults import (
     validate_fault_model,
     validate_integrity_policy,
 )
-from repro.faults.checker import _block_store, _lzw_store, pad_to_lines
+from repro.faults.checker import BlockStore, LZWStore, pad_to_lines
 from repro.faults.injector import FaultRecord
+
+import fault_oracle
 
 PROGRAM = bytes(range(256)) * 8  # 2 KiB, 64 lines, every byte value
 
@@ -136,8 +138,13 @@ class TestExpandingCacheIntegrity:
         return memory[:lat_bytes] + region
 
     def test_clean_image_raises_no_events(self):
-        image, _ = self._image_and_memory()
-        cache, errors = refill_survey(image, "detect")
+        image, memory = self._image_and_memory()
+        # The survey walks no line of an unchanged image; the reference
+        # walk refills every one of them and must see nothing either.
+        cache, errors = refill_survey(image, "detect", memory)
+        assert cache.misses == 0 and cache.integrity_events == [] and errors == []
+        cache, errors = fault_oracle.refill_survey(image, "detect")
+        assert cache.misses == image.line_count
         assert cache.integrity_events == [] and errors == []
 
     def test_detect_records_and_continues(self):
@@ -273,27 +280,28 @@ class TestBlastRadius:
     def test_single_bit_flip_corrupts_exactly_one_line(self):
         """The golden property: one flipped bit, one damaged 32-byte line."""
         for name, code in _codes().items():
+            store = BlockStore.build(code, PROGRAM)
             injector = FaultInjector(1234)
             for _ in range(25):
-                report = blast_block_codec(code, PROGRAM, injector, "bit_flip", name)
+                report = blast_block_codec(store, injector, "bit_flip", name)
                 assert report.blast_radius <= 1, (name, report.record)
                 assert report.span <= 1
                 assert report.detected
 
     def test_byte_fault_bounded_and_detected(self):
-        code = standard_code()
+        store = BlockStore.build(standard_code(), PROGRAM)
         injector = FaultInjector(77)
         for _ in range(25):
-            report = blast_block_codec(code, PROGRAM, injector, "byte")
+            report = blast_block_codec(store, injector, "byte")
             assert report.blast_radius <= 1
 
     def test_burst_bounded_by_straddled_blocks(self):
         from repro.faults.injector import DEFAULT_BURST_BYTES
 
-        code = standard_code()
+        store = BlockStore.build(standard_code(), PROGRAM)
         injector = FaultInjector(42)
         for _ in range(25):
-            report = blast_block_codec(code, PROGRAM, injector, "burst")
+            report = blast_block_codec(store, injector, "burst")
             assert report.blast_radius <= DEFAULT_BURST_BYTES
 
     def test_baseline_damage_is_bytes_touched(self):
@@ -305,7 +313,8 @@ class TestBlastRadius:
 
     def test_lzw_is_not_line_bounded(self):
         injector = FaultInjector(2024)
-        spans = [blast_lzw(PROGRAM, injector, "byte").span for _ in range(40)]
+        store = LZWStore.build(PROGRAM)
+        spans = [blast_lzw(store, injector, "byte").span for _ in range(40)]
         assert max(spans) > 1  # corruption spreads past the faulted line
 
     def test_diff_counts_missing_tail_lines(self):
@@ -314,14 +323,16 @@ class TestBlastRadius:
         assert diff_lines(golden, truncated) == (1, 2)
 
 
-class _FlipPayloadBit:
-    """A stub injector that flips one chosen bit of the region it gets."""
+class _Replay:
+    """An injector that applies one chosen fault, clamped into the region."""
 
-    def __init__(self, offset: int, bit: int) -> None:
-        self.offset, self.bit = offset, bit
+    def __init__(self, offset: int, masks: tuple[int, ...]) -> None:
+        self.offset, self.masks = offset, masks
 
     def inject(self, data, model, target="code"):
-        record = FaultRecord(model, target, self.offset, 1, self.bit, (1 << self.bit,))
+        masks = self.masks[: len(data)]
+        offset = self.offset % (len(data) - len(masks) + 1)
+        record = FaultRecord(model, target, offset, len(masks), None, masks)
         return record.apply(data), record
 
 
@@ -331,7 +342,7 @@ class TestLZWFirstCodeFault:
         # Bit 7 of payload byte 0 is the top bit of the first 9-bit code:
         # 'h' (104) becomes 360, which is not in the initial dictionary.
         assert lzw_compress(text)[HEADER_BYTES] & 0x80 == 0
-        report = blast_lzw(text, _FlipPayloadBit(0, 7), "bit_flip")
+        report = blast_lzw(LZWStore.build(text), _Replay(0, (1 << 7,)), "bit_flip")
         assert report.detected
         assert report.decode_error == "corrupt LZW stream: code 360"
         assert report.record.offset == HEADER_BYTES
@@ -341,47 +352,72 @@ class TestLZWFirstCodeFault:
 class TestPristineStoreReuse:
     """Trials share one pristine store per program, never its corruption."""
 
-    def _reports(self, blast, *args):
+    def _reports(self, blast, store):
         injector = FaultInjector(31)
-        return [blast(*args, injector, model) for model in FAULT_MODELS for _ in range(4)]
+        return [blast(store, injector, model) for model in FAULT_MODELS for _ in range(4)]
 
     def test_block_codec_reports_repeat(self):
         for name, code in _codes().items():
-            first = self._reports(blast_block_codec, code, PROGRAM)
-            assert self._reports(blast_block_codec, code, PROGRAM) == first, name
+            store = BlockStore.build(code, PROGRAM)
+            first = self._reports(blast_block_codec, store)
+            assert self._reports(blast_block_codec, store) == first, name
+            assert self._reports(blast_block_codec, BlockStore.build(code, PROGRAM)) == first
 
     def test_lzw_reports_repeat(self):
-        first = self._reports(blast_lzw, PROGRAM)
-        assert self._reports(blast_lzw, PROGRAM) == first
+        store = LZWStore.build(PROGRAM)
+        first = self._reports(blast_lzw, store)
+        assert self._reports(blast_lzw, store) == first
+        assert self._reports(blast_lzw, LZWStore.build(PROGRAM)) == first
 
     def test_cached_store_parts_are_immutable(self):
-        golden = pad_to_lines(PROGRAM)
-        blocks, crcs, stored = _block_store(standard_code(), golden, DEFAULT_LINE_SIZE, 1)
-        assert type(blocks) is tuple and type(crcs) is bytes and type(stored) is bytes
-        assert crcs == line_crcs(blocks)
-        assert stored == b"".join(block.data for block in blocks)
-        assert type(_lzw_store(golden)) is bytes
+        store = BlockStore.build(standard_code(), PROGRAM)
+        assert type(store.compressed) is tuple and type(store.crcs) is bytes
+        assert type(store.stored) is bytes and type(store.ends) is tuple
+        blocks = BlockCompressor(standard_code()).compress_program(PROGRAM)
+        assert store.crcs == line_crcs(blocks)
+        assert store.stored == b"".join(block.data for block in blocks)
+        assert store.compressed == tuple(block.is_compressed for block in blocks)
+        assert store.ends[-1] == len(store.stored)
+        lzw = LZWStore.build(PROGRAM)
+        assert type(lzw.blob) is bytes and type(lzw.index.output) is bytes
+        assert type(lzw.index.table) is tuple
 
-    def test_store_built_once_and_every_block_decoded_per_trial(self, monkeypatch):
-        code = standard_code()
-        golden = pad_to_lines(PROGRAM)
-        blocks, _, _ = _block_store(code, golden, DEFAULT_LINE_SIZE, 1)
-        compressed = sum(block.is_compressed for block in blocks)
-        batch_sizes = []
-        original = HuffmanCode.decode_lines
+    def test_pristine_store_must_decode_to_its_program(self, monkeypatch):
+        def scrambled(self, blobs, symbol_count, errors="raise"):
+            return [b"\xff" * symbol_count for _ in blobs]
 
-        def counting(self, blobs, *args, **kwargs):
-            blobs = list(blobs)
-            batch_sizes.append(len(blobs))
-            return original(self, blobs, *args, **kwargs)
+        monkeypatch.setattr(HuffmanCode, "decode_lines", scrambled)
+        with pytest.raises(ReproError, match="does not decode"):
+            BlockStore.build(standard_code(), TestBatchRefillUnderOverride.PROGRAM)
 
-        monkeypatch.setattr(HuffmanCode, "decode_lines", counting)
-        hits = _block_store.cache_info().hits
+    def test_trial_decodes_only_the_blocks_it_touches(self, monkeypatch):
+        store = BlockStore.build(standard_code(), TestBatchRefillUnderOverride.PROGRAM)
+        batches, scalar = [], []
+        original = HuffmanCode.decode_fast
+
+        def counting(self, blob, *args, **kwargs):
+            scalar.append(blob)
+            return original(self, blob, *args, **kwargs)
+
+        monkeypatch.setattr(HuffmanCode, "decode_fast", counting)
+        monkeypatch.setattr(
+            HuffmanCode, "decode_lines", lambda self, blobs, *a, **k: batches.append(blobs)
+        )
         injector = FaultInjector(5)
-        for _ in range(3):
-            blast_block_codec(code, PROGRAM, injector, "bit_flip")
-        assert _block_store.cache_info().hits == hits + 3
-        assert batch_sizes == [compressed] * 3
+        for model in FAULT_MODELS * 4:
+            report = blast_block_codec(store, injector, model)
+            record = report.record
+            starts = (0,) + store.ends[:-1]
+            touched = [
+                index
+                for index, (start, end) in enumerate(zip(starts, store.ends))
+                if end > record.offset and start < record.offset + record.length
+            ]
+            assert 1 <= len(touched) <= record.length
+            assert set(report.corrupted_lines) <= set(touched)
+            assert len(scalar) == sum(store.compressed[index] for index in touched)
+            scalar.clear()
+        assert batches == []
 
 
 def _refill_walk(image, policy, memory):
@@ -478,6 +514,164 @@ class TestBatchRefillUnderOverride:
             total_calls += len(calls)
             calls.clear()
         assert total_calls > 0
+
+
+#: Compressed all-zero lines, compressed mixed lines, bypass lines, and a
+#: partial last line: every kind of block a fault can land in.
+MIXED_PROGRAM = (bytes(range(0, 64, 2)) + bytes(32)) * 6 + bytes(range(256)) * 2 + b"\x07\x01"
+
+
+def _fault_masks():
+    return st.lists(st.integers(1, 255), min_size=1, max_size=4).map(tuple)
+
+
+class TestLocalTrialsMatchOracle:
+    """Each local trial equals the whole-program walk of ``fault_oracle``."""
+
+    @pytest.fixture(scope="class")
+    def block_stores(self):
+        return {
+            name: (code, BlockStore.build(code, MIXED_PROGRAM))
+            for name, code in _codes().items()
+        }
+
+    @pytest.fixture(scope="class")
+    def lzw_store(self):
+        return LZWStore.build(MIXED_PROGRAM)
+
+    @pytest.fixture(scope="class")
+    def image(self):
+        image = ProgramCompressor(standard_code(), integrity=True).compress(
+            MIXED_PROGRAM, text_base=0x400000
+        )
+        # The last LAT entry holds fewer than eight lines.
+        assert image.line_count % 8
+        return image
+
+    def _block_pair(self, stores, name, offset, masks, model="burst"):
+        code, store = stores[name]
+        local = blast_block_codec(store, _Replay(offset, masks), model, name)
+        oracle = fault_oracle.blast_block_codec(
+            code, MIXED_PROGRAM, _Replay(offset, masks), model, name
+        )
+        assert local == oracle
+        return local
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(_codes())), st.integers(min_value=0), _fault_masks())
+    def test_block_trials(self, block_stores, name, offset, masks):
+        self._block_pair(block_stores, name, offset, masks)
+
+    def test_block_bursts_straddle_and_clamp(self, block_stores):
+        for name, (_, store) in block_stores.items():
+            straddled = 0
+            for end in store.ends[:-1]:
+                report = self._block_pair(block_stores, name, end - 2, (0xFF, 0x81, 0x3C, 0x01))
+                straddled += report.record.offset < end < report.record.offset + 4
+            assert straddled == len(store.ends) - 1
+            # An offset past the end clamps the burst onto the last bytes.
+            report = self._block_pair(block_stores, name, len(store.stored) - 4, (0xA5,) * 4)
+            assert report.record.offset + 4 == len(store.stored)
+
+    def test_block_faults_in_bypass_blocks(self, block_stores):
+        for name, (_, store) in block_stores.items():
+            bypass = [i for i, compressed in enumerate(store.compressed) if not compressed]
+            assert bypass, name
+            for index in bypass:
+                start = store.ends[index - 1] if index else 0
+                report = self._block_pair(block_stores, name, start + 5, (0x10,), "byte")
+                assert report.corrupted_lines == (index,) and report.detected
+
+    def test_refused_all_zero_line_counts_as_clean(self, block_stores):
+        code, store = block_stores["preselected"]
+        zero = bytes(store.line_size)
+        starts = (0,) + store.ends[:-1]
+        for index, (start, end) in enumerate(zip(starts, store.ends)):
+            if not store.compressed[index] or store.golden[index * 32 : index * 32 + 32] != zero:
+                continue
+            for position in range(end - start):
+                for mask in (0xFF, 0x80, 0x01, 0x0F, 0xF0):
+                    report = self._block_pair(block_stores, "preselected", start + position, (mask,))
+                    if report.decode_error is not None:
+                        assert report.detected and report.blast_radius == 0
+                        return
+        raise AssertionError("no fault made an all-zero line's decode refuse")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0), _fault_masks())
+    def test_lzw_trials(self, lzw_store, offset, masks):
+        local = blast_lzw(lzw_store, _Replay(offset, masks), "burst")
+        oracle = fault_oracle.blast_lzw(MIXED_PROGRAM, _Replay(offset, masks), "burst")
+        assert local == oracle
+
+    def test_lzw_faults_in_the_first_code_and_the_padding(self, lzw_store):
+        from repro.compression.lzw import DEFAULT_MAX_BITS, _lzw_codes
+
+        code_bits = sum(width for _, width in _lzw_codes(lzw_store.golden, DEFAULT_MAX_BITS))
+        payload_bits = (len(lzw_store.blob) - HEADER_BYTES) * 8
+        assert payload_bits > code_bits, "the stream must end in padding bits"
+        faults = [(0, (0x80 >> bit,)) for bit in range(8)]
+        faults.append((1, (0x80,)))  # the ninth bit, still the first code
+        faults += [
+            (code_bits // 8, (1 << (7 - bit % 8),)) for bit in range(code_bits, payload_bits)
+        ]
+        for offset, masks in faults:
+            local = blast_lzw(lzw_store, _Replay(offset, masks), "bit_flip")
+            oracle = fault_oracle.blast_lzw(MIXED_PROGRAM, _Replay(offset, masks), "bit_flip")
+            assert local == oracle
+        # A flipped padding bit is never read.
+        assert local.blast_radius == 0 and not local.detected
+
+    def test_seeded_trials_match(self, block_stores, lzw_store):
+        for model in FAULT_MODELS:
+            for name, (code, store) in block_stores.items():
+                local, oracle = FaultInjector(11), FaultInjector(11)
+                for _ in range(10):
+                    assert blast_block_codec(store, local, model, name) == (
+                        fault_oracle.blast_block_codec(code, MIXED_PROGRAM, oracle, model, name)
+                    )
+            local, oracle = FaultInjector(13), FaultInjector(13)
+            for _ in range(10):
+                assert blast_lzw(lzw_store, local, model) == fault_oracle.blast_lzw(
+                    MIXED_PROGRAM, oracle, model
+                )
+
+    def _survey(self, survey, image, memory):
+        cache, errors = survey(image, "detect", memory)
+        try:
+            survey(image, "strict", memory)
+            trap = None
+        except IntegrityError as error:
+            trap = str(error)
+        return cache.integrity_events, errors, trap
+
+    def _refill_pair(self, image, memory):
+        local = self._survey(refill_survey, image, memory)
+        assert local == self._survey(fault_oracle.refill_survey, image, memory)
+        return local
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans(), st.integers(min_value=0), _fault_masks())
+    def test_refill_surveys(self, image, in_lat, offset, masks):
+        memory = image.memory_image()
+        lat_bytes = image.lat.storage_bytes
+        if in_lat:
+            region, _ = _Replay(offset, masks).inject(memory[:lat_bytes], "burst", "lat")
+            corrupted = region + memory[lat_bytes:]
+        else:
+            region, _ = _Replay(offset, masks).inject(memory[lat_bytes:], "burst")
+            corrupted = memory[:lat_bytes] + region
+        self._refill_pair(image, corrupted)
+
+    def test_refill_faults_in_the_last_partial_lat_entry(self, image):
+        memory = image.memory_image()
+        lat_bytes = image.lat.storage_bytes
+        events = 0
+        for offset in range(lat_bytes - 8, lat_bytes):
+            for bit in range(8):
+                corrupted = FaultRecord("bit_flip", "lat", offset, 1, bit, (1 << bit,)).apply(memory)
+                events += bool(self._refill_pair(image, corrupted)[0])
+        assert events
 
 
 class TestCorruptedDecodeFuzz:

@@ -1,4 +1,4 @@
-"""Tests for the sweep API and the precise HI/LO stall model."""
+"""Tests for the sweep API and the flat pipeline-stall model."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.core import SystemConfig, compare
 from repro.core.sweep import CSV_COLUMNS, sweep, sweep_many
 from repro.isa import Assembler
 from repro.machine import Machine
-from repro.machine.stalls import PreciseHiLoModel, R2000_STALLS, StallModel
+from repro.machine.stalls import R2000_STALLS, StallModel
 
 
 class TestSweep:
@@ -94,72 +94,27 @@ def run_program(source: str):
     return program, result
 
 
-class TestPreciseHiLoModel:
+class TestStallModel:
+    """The flat model charges each long-latency result as if read at once."""
+
+    def _stalls(self, source):
+        program, result = run_program(source)
+        return R2000_STALLS.stall_cycles(result.trace.instruction_indices, program.instructions)
+
     def test_immediate_read_charges_full_latency(self):
-        program, result = run_program(
+        stalls = self._stalls(
             "main: li $t0, 3\nli $t1, 4\nmult $t0, $t1\nmflo $t2\nli $v0, 10\nsyscall"
         )
-        precise = PreciseHiLoModel().stall_cycles(
-            result.trace.instruction_indices, program.instructions
-        )
-        # mflo is 1 slot after mult: stall = 12 - 1 = 11.
-        assert precise == 11
-
-    def test_distant_read_absorbs_latency(self):
-        filler = "\n".join(["addu $t3, $t3, $t0"] * 20)
-        program, result = run_program(
-            f"main: li $t0, 3\nli $t1, 4\nmult $t0, $t1\n{filler}\nmflo $t2\nli $v0, 10\nsyscall"
-        )
-        precise = PreciseHiLoModel().stall_cycles(
-            result.trace.instruction_indices, program.instructions
-        )
-        assert precise == 0  # 20 independent instructions hide 12 cycles
-
-    def test_partial_overlap(self):
-        filler = "\n".join(["addu $t3, $t3, $t0"] * 5)
-        program, result = run_program(
-            f"main: li $t0, 3\nli $t1, 4\nmult $t0, $t1\n{filler}\nmflo $t2\nli $v0, 10\nsyscall"
-        )
-        precise = PreciseHiLoModel().stall_cycles(
-            result.trace.instruction_indices, program.instructions
-        )
-        assert precise == 12 - 6  # read six slots after issue
+        assert stalls == 11  # 12-cycle multiply, one issue cycle
 
     def test_divide_latency(self):
-        program, result = run_program(
+        stalls = self._stalls(
             "main: li $t0, 9\nli $t1, 2\ndiv $t0, $t1\nmflo $t2\nli $v0, 10\nsyscall"
         )
-        precise = PreciseHiLoModel().stall_cycles(
-            result.trace.instruction_indices, program.instructions
-        )
-        assert precise == 34
+        assert stalls == 34
 
-    def test_unread_result_costs_nothing(self):
-        program, result = run_program(
-            "main: li $t0, 3\nmult $t0, $t0\nli $v0, 10\nsyscall"
-        )
-        precise = PreciseHiLoModel().stall_cycles(
-            result.trace.instruction_indices, program.instructions
-        )
-        assert precise == 0
-
-    def test_never_exceeds_flat_model(self):
-        """The flat model is a strict upper bound on HI/LO stalls."""
-        from repro.workloads import load
-
-        for name in ("tomcatv", "eightq", "qsort"):
-            workload = load(name)
-            result = workload.run()
-            flat = R2000_STALLS.stall_cycles(
-                result.trace.instruction_indices, workload.program.instructions
-            )
-            precise = PreciseHiLoModel().stall_cycles(
-                result.trace.instruction_indices, workload.program.instructions
-            )
-            assert precise <= flat
-
-    def test_fp_latencies_still_charged(self):
-        program, result = run_program(
+    def test_fp_latencies_charged(self):
+        stalls = self._stalls(
             """
             main:
                 mtc1 $zero, $f0
@@ -169,10 +124,7 @@ class TestPreciseHiLoModel:
                 syscall
             """
         )
-        precise = PreciseHiLoModel().stall_cycles(
-            result.trace.instruction_indices, program.instructions
-        )
-        assert precise == 1  # add.d flat extra
+        assert stalls == 1  # add.d extra cycle
 
     def test_custom_flat_model_override(self):
         model = StallModel(extra_cycles={"mult": 5})
