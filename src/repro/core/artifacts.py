@@ -84,7 +84,6 @@ KINDS: dict[str, str] = {
     "clb-curve": "repro.ccrp.stackdist",
     "pipeline-replay": "repro.pipeline.timeline",
     "prefetch-replay": "repro.prefetch.timeline",
-    "prefetch-exact": "repro.prefetch.engine",
     "service-response": "repro.service.workers",
 }
 

@@ -224,9 +224,8 @@ class ProgramStudy:
         """The complete identity of one prefetching fetch-path replay.
 
         The study (the full keys of its trace and image) and the machine
-        (cache bytes, memory, decoder, CLB size, policy, depth).  Keys both
-        the ``prefetch-replay`` artifact and the prefetch study's stored
-        exact-unit snapshot (``prefetch-exact``).
+        (cache bytes, memory, decoder, CLB size, policy, depth).  Keys the
+        ``prefetch-replay`` artifact.
         """
         return (
             self._trace_key,
@@ -245,10 +244,10 @@ class ProgramStudy:
 
         Runs the vectorized timeline
         (:func:`repro.prefetch.simulate_fetch_stream`) over the whole
-        trace — byte-identical to the exact
-        :class:`~repro.prefetch.engine.PrefetchingFetchUnit`, which the
-        prefetch study and property tests pin.  Disk cached under
-        :meth:`prefetch_key`.
+        trace — equal, field for field, to the per-access reference walk
+        of ``tests/fetch_oracle.py``, which the property tests and a
+        full-trace test over every simulation program pin.  Disk cached
+        under :meth:`prefetch_key`.
         """
         key = self.prefetch_key(config)
         replay = self._prefetch_replays.get(key)

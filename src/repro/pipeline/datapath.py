@@ -1,4 +1,4 @@
-"""The 5-stage pipeline state machine and its exact trace replay.
+"""The 5-stage pipeline state machine: hazard data and the issue scoreboard.
 
 Model
 -----
@@ -28,18 +28,16 @@ decomposition this module and :mod:`repro.pipeline.timeline` share::
 
     total = issue + fill + hazard + branch + fetch
 
-with each term computed independently.  :func:`simulate_pipeline` walks
-the dynamic stream one instruction at a time — the reference the
-vectorized timeline is tested against.
+with each term computed independently.  :mod:`repro.pipeline.timeline`
+drives the :class:`Scoreboard` once per basic block; the reference it is
+tested against, ``simulate_pipeline`` in ``tests/fetch_oracle.py``,
+drives it once per dynamic instruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.errors import ConfigurationError
 from repro.isa.instruction import Instruction
 from repro.pipeline.hazards import (
     HazardModel,
@@ -174,73 +172,9 @@ class Scoreboard:
         self._time = start
         return start - base
 
-    def bubble(self, cycles: int) -> None:
-        """Inject ``cycles`` empty issue slots (taken-branch redirect)."""
-        self._time += cycles
-
     def run(self, indices) -> int:
         """Total hazard stalls of issuing ``indices`` back to back."""
         total = 0
         for index in indices:
             total += self.issue(index)
         return total
-
-
-def simulate_pipeline(
-    instructions: tuple[Instruction, ...],
-    instruction_indices: np.ndarray,
-    hazards: HazardModel = R2000_HAZARDS,
-    frontend=None,
-    text_base: int = 0,
-) -> PipelineResult:
-    """Exact cycle-accurate replay of a dynamic instruction stream.
-
-    Args:
-        instructions: The program's static instruction list.
-        instruction_indices: Static instruction index per dynamic
-            instruction, in execution order (see
-            :attr:`~repro.machine.tracing.ExecutionTrace.instruction_indices`).
-        hazards: Interlock parameters.
-        frontend: Optional :class:`~repro.pipeline.frontend.FetchUnit`;
-            when given, every access runs through it and misses freeze
-            the pipeline for the exact refill cost.
-        text_base: Text-segment load address (to turn indices back into
-            fetch addresses for the front end).
-
-    This is the reference implementation — a Python loop per dynamic
-    instruction.  Use :func:`repro.pipeline.timeline.replay_trace` for
-    whole-suite runs.
-    """
-    indices = np.asarray(instruction_indices)
-    if len(indices) and (indices.min() < 0 or indices.max() >= len(instructions)):
-        raise ConfigurationError(
-            f"trace references instruction {int(indices.max())} outside the "
-            f"{len(instructions)}-instruction program"
-        )
-    timing = ProgramTiming(instructions, hazards)
-    scoreboard = Scoreboard(timing)
-    penalty = hazards.taken_branch_penalty
-
-    hazard_stalls = 0
-    branch_stalls = 0
-    fetch_stalls = 0
-    previous = None
-    for index in indices.tolist():
-        if previous is not None and index != previous + 1:
-            branch_stalls += penalty
-            scoreboard.bubble(penalty)
-        if frontend is not None:
-            fetch_stalls += frontend.fetch(text_base + 4 * index)
-        hazard_stalls += scoreboard.issue(index)
-        previous = index
-
-    issue = len(indices)
-    return PipelineResult(
-        issue_cycles=issue,
-        fill_cycles=PIPELINE_FILL_CYCLES if issue else 0,
-        hazard_stall_cycles=hazard_stalls,
-        branch_stall_cycles=branch_stalls,
-        fetch_stall_cycles=fetch_stalls,
-        clb_penalty_cycles=frontend.clb_penalty_cycles if frontend is not None else 0,
-        fetch_misses=frontend.misses if frontend is not None else 0,
-    )

@@ -1,12 +1,10 @@
-"""The pipeline's fetch unit: instruction cache + CLB + refill engine.
+"""The pipeline's fetch path: instruction-cache misses and their refills.
 
-:class:`FetchUnit` is the stateful front end the exact datapath replay
-drives one access at a time: a hit costs nothing, a miss freezes the
-pipeline for the *per-line* refill cost — the CCRP's decoder timing for
-that specific compressed block (plus a LAT-entry read when the CLB
-misses), or the baseline machine's constant burst.  The vectorized
-helpers compute the same quantities over whole miss streams for the
-timeline backend.
+A hit costs nothing; a miss freezes the pipeline for the *per-line*
+refill cost — the CCRP's decoder timing for that specific compressed
+block (plus a LAT-entry read when the CLB misses), or the baseline
+machine's constant burst.  These helpers compute those quantities over
+whole miss streams for the timeline backend.
 
 Critical-word-first (modelled extension)
 ----------------------------------------
@@ -31,13 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.direct_mapped import _check_geometry, miss_mask
+from repro.cache.direct_mapped import miss_mask
 from repro.cache.stats import CacheStats
-from repro.ccrp.clb import CLB
 from repro.ccrp.refill import RefillEngine
-from repro.errors import ConfigurationError
-from repro.lat.entry import LINES_PER_ENTRY
-from repro.memsys.models import MemoryModel, get_memory_model
+from repro.memsys.models import MemoryModel
 
 
 @dataclass(frozen=True)
@@ -100,111 +95,3 @@ def ccrp_critical_word_cycles(
     full = engine.ccrp_line_cycles(line_indices)
     word = (addresses % line_size) // 4
     return int(((full * (word + 1) + words_per_line - 1) // words_per_line).sum())
-
-
-class FetchUnit:
-    """Stateful front end for the exact pipeline replay.
-
-    Args:
-        cache_bytes: Instruction-cache capacity (direct-mapped).
-        memory: Instruction-memory model (instance or name).
-        line_size: Cache-line size in bytes.
-        refill: CCRP refill engine; ``None`` models the standard
-            machine's constant full-line burst.
-        clb: CLB probed on every miss (CCRP only); ``None`` disables
-            the LAT-read penalty (a perfect CLB).
-        critical_word_first: Resume on critical-word arrival instead of
-            end of line (see module docstring).
-
-    Attributes:
-        accesses / misses: Fetch and miss counts so far.
-        clb_penalty_cycles: Accumulated LAT-read freeze cycles.
-    """
-
-    def __init__(
-        self,
-        cache_bytes: int,
-        memory: MemoryModel | str,
-        line_size: int = 32,
-        refill: RefillEngine | None = None,
-        clb: CLB | None = None,
-        critical_word_first: bool = False,
-    ) -> None:
-        self.num_sets = _check_geometry(cache_bytes, line_size)
-        self.line_size = line_size
-        self.memory = get_memory_model(memory)
-        self.refill = refill
-        if refill is not None and refill.image.line_size != line_size:
-            raise ConfigurationError(
-                f"fetch unit line size {line_size} != compressed image line "
-                f"size {refill.image.line_size}"
-            )
-        self.clb = clb
-        if clb is not None and refill is None:
-            raise ConfigurationError("a CLB is meaningless without a refill engine")
-        self.critical_word_first = critical_word_first
-        self._line_shift = line_size.bit_length() - 1
-        self._resident: list[int | None] = [None] * self.num_sets
-        self._baseline_full = self.memory.bytes_read_cycles(line_size)
-        self.accesses = 0
-        self.misses = 0
-        self.clb_penalty_cycles = 0
-
-    def fetch(self, address: int) -> int:
-        """One instruction fetch; returns the freeze cycles it caused."""
-        line = address >> self._line_shift
-        set_index = line % self.num_sets
-        self.accesses += 1
-        if self._resident[set_index] == line:
-            return 0
-        self._resident[set_index] = line
-        self.misses += 1
-        stall = 0
-        if self.refill is None:
-            if self.critical_word_first:
-                return self.memory.first_word_cycles
-            return self._baseline_full
-        if self.clb is not None and not self.clb.access(line // LINES_PER_ENTRY):
-            penalty = self.refill.lat_fetch_cycles
-            self.clb_penalty_cycles += penalty
-            stall += penalty
-        line_index = (address - self.refill.image.text_base) // self.line_size
-        if self.critical_word_first:
-            stall += ccrp_critical_word_cycles(self.refill, np.array([address]))
-        else:
-            stall += int(self.refill.ccrp_line_cycles(np.array([line_index]))[0])
-        return stall
-
-    def reset(self) -> None:
-        """Empty the cache (and CLB) and clear statistics."""
-        self._resident = [None] * self.num_sets
-        if self.clb is not None:
-            self.clb.reset()
-        self.accesses = 0
-        self.misses = 0
-        self.clb_penalty_cycles = 0
-
-    # ------------------------------------------------------------------
-    # Counter surface (no private attribute poking required)
-    # ------------------------------------------------------------------
-
-    @property
-    def clb_hits(self) -> int:
-        """CLB hits so far (0 without a CLB)."""
-        return self.clb.hits if self.clb is not None else 0
-
-    @property
-    def clb_misses(self) -> int:
-        """CLB misses so far (0 without a CLB)."""
-        return self.clb.misses if self.clb is not None else 0
-
-    def counters(self) -> dict[str, int]:
-        """The front end's counter block, for ``--metrics`` reports and
-        the service ``stats`` op (prefetching subclasses extend it)."""
-        return {
-            "accesses": self.accesses,
-            "misses": self.misses,
-            "clb_hits": self.clb_hits,
-            "clb_misses": self.clb_misses,
-            "clb_penalty_cycles": self.clb_penalty_cycles,
-        }

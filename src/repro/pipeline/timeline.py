@@ -7,7 +7,8 @@ exploits the structure of the decomposition (see
 
 * **branch stalls** are a per-transition property — one penalty per
   dynamic-stream discontinuity — computed with a single vectorized
-  comparison over the index stream (bit-identical to the exact replay);
+  comparison over the index stream (bit-identical to the exact
+  per-instruction replay of ``tests/fetch_oracle.py``);
 * **fetch stalls** are per-miss freezes, reduced by the caller with the
   same vectorized gathers the additive backend uses (a frozen pipeline
   adds exactly the refill cycles, nothing more);

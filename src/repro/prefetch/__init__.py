@@ -13,11 +13,13 @@ Exports:
 * :data:`~repro.prefetch.engine.FETCH_POLICIES` /
   :func:`~repro.prefetch.engine.validate_fetch_policy` — the selectable
   policies (``demand``, ``nextline``, ``btb``);
-* :class:`~repro.prefetch.engine.PrefetchingFetchUnit` — the stateful
-  exact front end (drop-in for the pipeline datapath replay);
+* :class:`~repro.prefetch.engine.PrefetchCore` /
+  :func:`~repro.prefetch.engine.build_core` — the per-miss state
+  machine and its configuration for one machine model;
 * :func:`~repro.prefetch.timeline.simulate_fetch_stream` /
-  :class:`~repro.prefetch.timeline.FetchReplay` — the vectorized
-  whole-trace replay, byte-identical to the exact unit;
+  :class:`~repro.prefetch.engine.FetchReplay` — the vectorized
+  whole-trace replay the study reads, checked against a per-access
+  reference walk in ``tests/fetch_oracle.py``;
 * :class:`~repro.prefetch.predictor.StaticBTB` /
   :func:`~repro.prefetch.predictor.build_btb` — the CFG-trained
   branch-target buffer.
@@ -27,7 +29,6 @@ from repro.prefetch.engine import (
     FETCH_POLICIES,
     FetchReplay,
     PrefetchCore,
-    PrefetchingFetchUnit,
     build_core,
     validate_fetch_policy,
 )
@@ -39,7 +40,6 @@ __all__ = [
     "FETCH_POLICIES",
     "FetchReplay",
     "PrefetchCore",
-    "PrefetchingFetchUnit",
     "StaticBTB",
     "build_btb",
     "build_core",

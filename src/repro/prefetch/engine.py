@@ -1,4 +1,4 @@
-"""The prefetching refill engine: policies, accounting, exact fetch unit.
+"""The prefetching refill engine: policies, accounting, the per-miss core.
 
 Model
 -----
@@ -55,30 +55,24 @@ from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.ccrp.clb import CLB
 from repro.ccrp.refill import RefillEngine
 from repro.errors import ConfigurationError
 from repro.lat.entry import ENTRY_BYTES, LINES_PER_ENTRY
 from repro.memsys.models import MemoryModel
-from repro.pipeline.frontend import FetchUnit
 from repro.prefetch.predictor import StaticBTB
 
 #: The selectable fetch policies.
 FETCH_POLICIES = ("demand", "nextline", "btb")
-
-#: Addresses :meth:`PrefetchingFetchUnit.fetch_stream` walks per slice.
-STREAM_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
 class FetchReplay:
     """Everything one fetch-path replay produced, backend-agnostic.
 
-    Instances from the exact unit and the vectorized timeline compare
-    equal field-for-field when the backends agree — the byte-identity
-    check the tests and the prefetch study both run.
+    Instances compare equal field-for-field when two replays agree —
+    the check the tests run against the per-access reference walk in
+    ``tests/fetch_oracle.py``.
 
     Attributes:
         policy: Fetch policy that produced the numbers.
@@ -149,28 +143,6 @@ class FetchReplay:
             wasted_traffic_bytes=core.wasted_traffic_bytes,
         )
 
-    @classmethod
-    def from_unit(cls, unit: FetchUnit, fetch_stall_cycles: int) -> "FetchReplay":
-        """Snapshot a (possibly prefetching) stateful unit's statistics."""
-        core = getattr(unit, "core", None)
-        return cls(
-            policy=core.policy if core is not None else "demand",
-            accesses=unit.accesses,
-            misses=unit.misses,
-            fetch_stall_cycles=fetch_stall_cycles,
-            clb_penalty_cycles=unit.clb_penalty_cycles,
-            clb_hits=unit.clb_hits,
-            clb_misses=unit.clb_misses,
-            traffic_bytes=core.traffic_bytes if core is not None else 0,
-            issued=core.issued if core is not None else 0,
-            useful=core.useful if core is not None else 0,
-            useless=core.useless if core is not None else 0,
-            partial=core.partial if core is not None else 0,
-            in_flight_at_exit=core.in_flight_at_exit if core is not None else 0,
-            covered_stall_cycles=core.covered_stall_cycles if core is not None else 0,
-            wasted_traffic_bytes=core.wasted_traffic_bytes if core is not None else 0,
-        )
-
 
 def validate_fetch_policy(name: str) -> str:
     """Check a fetch-policy name, raising :class:`ConfigurationError`."""
@@ -195,15 +167,15 @@ class _Uniform:
 
 
 class PrefetchCore:
-    """The per-miss state machine shared by both timing backends.
+    """The per-miss state machine of the prefetching fetch path.
 
-    The exact replay (:class:`PrefetchingFetchUnit`) drives it one miss
-    at a time with a per-access shadow clock; the vectorized timeline
+    The vectorized timeline
     (:func:`repro.prefetch.timeline.simulate_fetch_stream`) drives it
     over the extracted miss events with arrival times computed by
-    vectorized position arithmetic.  Both see the same state machine, so
-    their agreement reduces to the (property-tested) equivalence of the
-    two clock constructions.
+    vectorized position arithmetic; the tests' per-access reference walk
+    drives the same core with a shadow clock advanced one access at a
+    time, so their agreement reduces to the (property-tested)
+    equivalence of the two clock constructions.
 
     The prefetch buffer is :attr:`buffer`, an ordered map from global
     line to the shadow-clock cycle its speculative decode finishes,
@@ -262,9 +234,6 @@ class PrefetchCore:
         self._predict_target = btb.predict if policy == "btb" else None
         self.contention = contention
         self._decoder_free = 0
-        self.reset_counters()
-
-    def reset_counters(self) -> None:
         self.issued = 0
         self.useful = 0
         self.useless = 0
@@ -273,14 +242,6 @@ class PrefetchCore:
         self.clb_penalty_cycles = 0
         self.traffic_bytes = 0
         self.wasted_traffic_bytes = 0
-
-    def reset(self) -> None:
-        """Empty the buffer and decoder queue and clear statistics."""
-        self.buffer.clear()
-        self._decoder_free = 0
-        if self.clb is not None:
-            self.clb.reset()
-        self.reset_counters()
 
     # ------------------------------------------------------------------
     # The state machine
@@ -378,18 +339,6 @@ class PrefetchCore:
     def clb_misses(self) -> int:
         return self.clb.misses if self.clb is not None else 0
 
-    def counters(self) -> dict[str, int]:
-        """The prefetch counter block (reconciles: issued == useful +
-        useless + in_flight_at_exit)."""
-        return {
-            "issued": self.issued,
-            "useful": self.useful,
-            "useless": self.useless,
-            "partial": self.partial,
-            "in_flight_at_exit": self.in_flight_at_exit,
-            "covered_stall_cycles": self.covered_stall_cycles,
-            "wasted_traffic_bytes": self.wasted_traffic_bytes,
-        }
 
 
 def build_core(
@@ -405,9 +354,9 @@ def build_core(
 ) -> PrefetchCore:
     """Configure a :class:`PrefetchCore` for one machine model.
 
-    Both timing backends build their core here, so the per-line cost
-    and validity rules cannot drift between the exact replay and the
-    vectorized timeline.  A CCRP core reads the refill engine's
+    The timeline and the tests' reference walk build their core here,
+    so the per-line cost and validity rules cannot drift between them.
+    A CCRP core reads the refill engine's
     :attr:`~repro.ccrp.refill.RefillEngine.line_tables`, listed once per
     engine.
     """
@@ -435,124 +384,3 @@ def build_core(
         btb=btb,
         contention=contention,
     )
-
-
-class PrefetchingFetchUnit(FetchUnit):
-    """Stateful prefetching front end — the exact (golden) replay.
-
-    A drop-in :class:`~repro.pipeline.frontend.FetchUnit` for
-    :func:`~repro.pipeline.datapath.simulate_pipeline`: same
-    ``fetch(address) -> freeze cycles`` contract, plus the shadow clock
-    and prefetch machinery of :class:`PrefetchCore`.  ``fetch`` and
-    ``fetch_stream`` (a whole trace, 65,536 addresses per slice) run one
-    per-access walk, so the state machine exists once.  With
-    ``policy="demand"`` it is byte-identical to the plain unit
-    (property-tested).
-
-    Args:
-        cache_bytes / memory / line_size / refill / clb: As the base
-            class.  ``refill=None`` models the standard machine — a
-            prefetch then hides plain burst latency instead of decode
-            time.
-        policy: One of :data:`FETCH_POLICIES`.
-        prefetch_depth: Prefetch-buffer capacity.
-        btb: Branch-target predictor (required for ``policy="btb"``).
-        contention: Shared-decoder-port model (see :class:`PrefetchCore`).
-        prefetch_bounds: ``(base_line, line_count)`` limiting which
-            global lines may be prefetched when ``refill`` is ``None``
-            (the compressed image provides the bounds otherwise).
-    """
-
-    def __init__(
-        self,
-        cache_bytes: int,
-        memory: MemoryModel | str,
-        line_size: int = 32,
-        refill: RefillEngine | None = None,
-        clb: CLB | None = None,
-        policy: str = "demand",
-        prefetch_depth: int = 4,
-        btb: StaticBTB | None = None,
-        contention: bool = False,
-        prefetch_bounds: tuple[int, int] | None = None,
-    ) -> None:
-        super().__init__(
-            cache_bytes, memory, line_size=line_size, refill=refill, clb=clb
-        )
-        self._clock = 0
-        self.core = build_core(
-            policy,
-            prefetch_depth,
-            self.memory,
-            line_size,
-            refill=refill,
-            clb=clb,
-            btb=btb,
-            contention=contention,
-            prefetch_bounds=prefetch_bounds,
-        )
-
-    def _is_resident(self, line: int) -> bool:
-        return self._resident[line & (self.num_sets - 1)] == line
-
-    def fetch(self, address: int) -> int:
-        """One instruction fetch; returns the freeze cycles it caused."""
-        return self._walk((address >> self._line_shift,))
-
-    def fetch_stream(self, addresses) -> int:
-        """Fetch every address of a stream in order; returns the total
-        freeze cycles.  Equal to summing :meth:`fetch` over the stream,
-        wherever it is split."""
-        addresses = np.asarray(addresses)
-        stalls = 0
-        # One slice's lines as Python ints; a whole trace would be ~40 MB.
-        for start in range(0, len(addresses), STREAM_SLICE):
-            lines = addresses[start : start + STREAM_SLICE] >> self._line_shift
-            stalls += self._walk(lines.tolist())
-        return stalls
-
-    def _walk(self, lines: Sequence[int]) -> int:
-        """The per-access state machine over global line numbers.
-
-        Every access is compared with its set's tag: a hit advances the
-        shadow clock one cycle; a miss fills the set, and the core
-        services it at the current shadow time, which then advances by
-        the IF slot plus the stall.
-        """
-        resident = self._resident
-        set_mask = self.num_sets - 1
-        on_miss = self.core.on_miss
-        is_resident = self._is_resident
-        clock = self._clock
-        misses = 0
-        stalls = 0
-        for line in lines:
-            set_index = line & set_mask
-            if resident[set_index] == line:
-                clock += 1
-                continue
-            resident[set_index] = line
-            misses += 1
-            stall = on_miss(clock, line, is_resident)
-            stalls += stall
-            clock += 1 + stall
-        self._clock = clock
-        self.accesses += len(lines)
-        self.misses += misses
-        self.clb_penalty_cycles = self.core.clb_penalty_cycles
-        return stalls
-
-    def reset(self) -> None:
-        """Empty the cache, buffer, CLB, and clocks; clear statistics."""
-        super().reset()
-        self._clock = 0
-        self.core.reset()
-
-    def counters(self) -> dict[str, int]:
-        """Front-end counters including the prefetch block."""
-        report = super().counters()
-        report.update(
-            {f"prefetch_{key}": value for key, value in self.core.counters().items()}
-        )
-        report["traffic_bytes"] = self.core.traffic_bytes
-        return report

@@ -10,8 +10,8 @@ Two predictors drive the speculative refill policies:
   control-flow-graph edges (:func:`repro.isa.cfg.static_transfer_targets`)
   rather than online from retired branches: the CCRP's compressed image
   is read-only firmware, so the full edge set is known at image-build
-  time and a deterministic static fill keeps the exact replay and the
-  vectorized timeline trivially in agreement.  Hardware cost is still
+  time and a deterministic static fill keeps the vectorized timeline and
+  the tests' per-access reference walk trivially in agreement.  Hardware cost is still
   honest — the table is capacity-bounded and direct-mapped, so two hot
   lines that collide in the same slot evict each other exactly as a real
   BTB would (the *later* static line wins, deterministically).

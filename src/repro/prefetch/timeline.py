@@ -1,8 +1,8 @@
 """Vectorized replay of the prefetching fetch path over a whole trace.
 
-Driving :class:`~repro.prefetch.engine.PrefetchingFetchUnit` one access
-at a time costs a Python loop per dynamic instruction — minutes per
-workload.  This module exploits the prefetch buffer's key invariant (a
+Walking the prefetching front end one access at a time (the reference
+walk in ``tests/fetch_oracle.py``) costs a Python loop per dynamic
+instruction.  This module exploits the prefetch buffer's key invariant (a
 buffer hit still fills the cache exactly as a demand miss would, so the
 *miss stream is policy-independent*) to reduce the work to the miss
 events:
@@ -15,14 +15,14 @@ events:
    ``p_i + sum(stalls before i)`` — each hit advances the clock exactly
    one cycle, so hits never need to be walked;
 3. the per-miss state machine (:class:`~repro.prefetch.engine.PrefetchCore`)
-   is the *same object* both backends run, so agreement with the exact
-   replay reduces to the equivalence of the two clock constructions —
-   which the property tests and the real-workload test in
-   ``tests/test_prefetch.py`` pin byte-for-byte.
+   is the one the reference walk drives too, so agreement with it
+   reduces to the equivalence of the two clock constructions — which
+   the property tests and the full-trace tests in
+   ``tests/test_prefetch.py`` pin field for field.
 
 Typical miss streams are thousands of events against millions of
-accesses, so the remaining Python loop is ~10³ shorter than the exact
-replay's.
+accesses, so the remaining Python loop is ~10³ shorter than a
+per-access walk.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ def simulate_fetch_stream(
     """Replay a whole fetch-address stream under one policy, vectorized.
 
     Same machine-model arguments as
-    :class:`~repro.prefetch.engine.PrefetchingFetchUnit`; the result is
-    byte-identical to driving that unit access-by-access over
-    ``addresses``.  The replay runs over the stream's miss events, so a
+    :func:`~repro.prefetch.engine.build_core`; the result equals a
+    per-access walk of the same core over ``addresses``.  The replay runs over the stream's miss events, so a
     caller replaying one stream under many policies may pass its
     :class:`~repro.pipeline.frontend.MissEvents` (extracted once for
     this geometry) in place of the addresses.
@@ -95,7 +94,7 @@ def simulate_fetch_stream(
     on_miss = core.on_miss
     total_stall = 0
     for position, line in zip(events.positions.tolist(), events.lines.tolist()):
-        # Same update order as the stateful unit: the missing line is
+        # Same update order as a per-access walk: the missing line is
         # resident by the time the core suppresses redundant prefetches.
         resident[line % num_sets] = line
         total_stall += on_miss(position + total_stall, line, is_resident)

@@ -30,31 +30,19 @@ sections 14 and 16):
 * every request is observable through the ``stats`` endpoint
   (per-endpoint counters, queue-depth gauge, p50/p99 latency).
 
-Resilience is tested under fault injection: :mod:`repro.service.chaos`
-provides a seed-deterministic proxy that tears frames, resets
-connections, delays traffic, and kills workers on a replayable schedule.
+Resilience is tested under fault injection: ``tests/chaos.py`` provides
+a seed-deterministic proxy that tears frames, resets connections, delays
+traffic, and kills workers on a replayable schedule.
 """
 
-from repro.service.chaos import (
-    ChaosAction,
-    ChaosProxy,
-    ChaosSchedule,
-    ScriptedSchedule,
-    SeededSchedule,
-)
 from repro.service.client import ServiceClient, parse_address
 from repro.service.protocol import FrameDecoder, encode_frame, read_frame, write_frame
 from repro.service.server import CompressionServer
 from repro.service.workers import WorkerPool
 
 __all__ = [
-    "ChaosAction",
-    "ChaosProxy",
-    "ChaosSchedule",
     "CompressionServer",
     "FrameDecoder",
-    "ScriptedSchedule",
-    "SeededSchedule",
     "ServiceClient",
     "WorkerPool",
     "encode_frame",

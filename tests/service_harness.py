@@ -19,9 +19,10 @@ import asyncio
 import os
 import threading
 
-from repro.service.chaos import ChaosProxy
 from repro.service.client import ServiceClient
 from repro.service.server import CompressionServer
+
+from chaos import ChaosProxy
 
 #: Round-trip budget for :meth:`LiveService.wait_stats` (not a timer —
 #: each attempt is one full stats round trip through the live server).
@@ -179,7 +180,7 @@ class LiveService:
 
 
 class LiveChaos:
-    """A :class:`~repro.service.chaos.ChaosProxy` on its own loop thread.
+    """A :class:`~chaos.ChaosProxy` on its own loop thread.
 
     Clients connect to :attr:`address`; the proxy relays to the live
     server, applying the schedule's faults.  The event log

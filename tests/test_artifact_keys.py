@@ -26,7 +26,6 @@ from repro.core.metrics import METRICS
 from repro.core.standard import standard_code
 from repro.core.study import ProgramStudy
 from repro.errors import ConfigurationError
-from repro.experiments import prefetch_study
 from repro.isa import Assembler
 from repro.machine import executor
 from repro.workloads import suite
@@ -39,11 +38,10 @@ CLOSURE_SIZES = {
     "repro.machine.executor": 13,
     "repro.workloads.suite": 23,
     "repro.ccrp.compressor": 9,
-    "repro.pipeline.frontend": 15,
+    "repro.pipeline.frontend": 14,
     "repro.ccrp.stackdist": 1,
     "repro.pipeline.timeline": 9,
     "repro.prefetch.timeline": 21,
-    "repro.prefetch.engine": 20,
     "repro.service.workers": 55,
 }
 
@@ -56,7 +54,6 @@ CHAINED_ON = {
     "clb-curve": ("miss-stream", "trace"),
     "pipeline-replay": ("trace",),
     "prefetch-replay": ("trace", "image"),
-    "prefetch-exact": ("trace", "image"),
 }
 
 #: One configuration that reads every stored kind of a study.
@@ -140,7 +137,6 @@ def _study_keys() -> dict[str, set[str]]:
         patch.setattr(artifacts, "key", recording)
         study = ProgramStudy("eightq", max_instructions=MAX_INSTRUCTIONS)
         study.metrics(CONFIG)
-        recording("prefetch-exact", *study.prefetch_key(CONFIG))
         recording("superops", *executor._shared_key(study.workload.program))
         recording("service-response", "compress", "{}", "payload-digest")
     return keys
@@ -149,25 +145,13 @@ def _study_keys() -> dict[str, set[str]]:
 @pytest.mark.parametrize(
     ("edited", "changed"),
     [
-        ("service/chaos.py", set()),
+        ("service/client.py", set()),
         ("ccrp/stackdist.py", {"clb-curve", "service-response"}),
-        (
-            "prefetch/engine.py",
-            {"prefetch-replay", "prefetch-exact", "service-response"},
-        ),
-        (
-            "ccrp/compressor.py",
-            {"image", "prefetch-replay", "prefetch-exact", "service-response"},
-        ),
+        ("prefetch/engine.py", {"prefetch-replay", "service-response"}),
+        ("ccrp/compressor.py", {"image", "prefetch-replay", "service-response"}),
         (
             "pipeline/frontend.py",
-            {
-                "miss-stream",
-                "clb-curve",
-                "prefetch-replay",
-                "prefetch-exact",
-                "service-response",
-            },
+            {"miss-stream", "clb-curve", "prefetch-replay", "service-response"},
         ),
         (
             "machine/executor.py",
@@ -180,7 +164,6 @@ def _study_keys() -> dict[str, set[str]]:
                 "clb-curve",
                 "pipeline-replay",
                 "prefetch-replay",
-                "prefetch-exact",
             },
         ),
     ],
@@ -343,9 +326,6 @@ def test_a_compute_runs_only_code_its_key_covers(kind, private_cache, monkeypatc
     monkeypatch.setattr(ArtifactCache, "get_or_compute", profiling)
     study = ProgramStudy("eightq", max_instructions=MAX_INSTRUCTIONS)
     study.metrics(CONFIG)
-    if kind == "prefetch-exact":
-        glue.add(prefetch_study._exact_replay.__code__)
-        _profiled(lambda: prefetch_study._exact_replay(study, CONFIG), executed)()
     assert executed, f"{kind} was never computed"
 
     package = Path(artifacts.__file__).resolve().parent.parent

@@ -1,13 +1,17 @@
-"""Every ``repro`` package imports as the first ``repro`` import of a process.
+"""Every ``repro`` package imports as the first ``repro`` import of a process,
+and every ``repro`` module is reached from an entry point.
 
 Entry points import :mod:`repro.core` first, which hides import cycles
 that only a script starting from another package runs into (importing
 :mod:`repro.prefetch` or :mod:`repro.pipeline` first used to fail with a
-partially initialised module).
+partially initialised module).  Code only tests use (reference oracles,
+the chaos proxy) lives in ``tests/``, so a module no entry point reaches
+does not belong in ``src/``.
 """
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +19,30 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.artifacts import import_closure
 
 SRC = Path(repro.__file__).resolve().parent.parent
+PACKAGE = SRC / "repro"
 
 PACKAGES = ["repro"] + sorted(
-    f"repro.{path.parent.name}" for path in (SRC / "repro").glob("*/__init__.py")
+    f"repro.{path.parent.name}" for path in PACKAGE.glob("*/__init__.py")
 )
+
+
+def _module_name(path: Path) -> str:
+    return ".".join(("repro",) + path.relative_to(PACKAGE).with_suffix("").parts)
+
+
+def _entry_modules() -> list[str]:
+    """The ``[project.scripts]`` modules, :mod:`repro.experiments` and every
+    ``__main__`` a ``python -m`` run starts from."""
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return (
+        re.findall(r'=\s*"([\w.]+):', scripts)
+        + ["repro.experiments"]
+        + [_module_name(path) for path in PACKAGE.rglob("__main__.py")]
+    )
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -33,3 +55,17 @@ def test_package_imports_in_a_fresh_interpreter(package):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    entries = _entry_modules()
+    assert "repro.experiments.runner" in entries and len(entries) > 3
+    reached = set()
+    for entry in entries:
+        reached |= set(import_closure(entry))
+    modules = {
+        _module_name(path)
+        for path in PACKAGE.rglob("*.py")
+        if path.name != "__init__.py"
+    }
+    assert sorted(modules - reached) == []

@@ -3,7 +3,8 @@
 Covers the golden hand-computed replay, the exact-vs-vectorized-timeline
 bounds (property-tested over random programs and traces), the fetch
 front end, the refill-engine index guards, the configuration plumbing,
-and the ``ccrp-run`` CLI integration.
+and the ``ccrp-run`` CLI integration.  The exact side is the
+per-instruction replay of ``tests/fetch_oracle.py``.
 """
 
 from __future__ import annotations
@@ -32,15 +33,15 @@ from repro.memsys import EPROM
 from repro.pipeline import (
     PIPELINE_FILL_CYCLES,
     BlockTable,
-    FetchUnit,
     HazardModel,
     R2000_HAZARDS,
     miss_mask,
     replay_trace,
-    simulate_pipeline,
 )
 from repro.pipeline.hazards import FP_BASE, HI, LO, register_effects
 from repro.tools import run as run_tool
+
+from fetch_oracle import FetchUnit, simulate_pipeline
 
 # ----------------------------------------------------------------------
 # Golden hand-computed replay

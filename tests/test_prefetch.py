@@ -2,9 +2,11 @@
 
 Covers the golden hand-computed prefetch timeline, the demand-policy
 byte-identity with the plain fetch unit, the exact-vs-vectorized
-equivalence (property-tested over random streams and pinned on a real
-workload), the prefetch-never-hurts invariant, counter reconciliation,
-and the BTB / buffer / configuration surfaces.
+equivalence (property-tested over random streams, pinned on real trace
+prefixes, and checked on the full trace of every simulation program),
+the prefetch-never-hurts invariant, counter reconciliation, and the
+BTB / buffer / configuration surfaces.  The exact side is the
+per-access walk of ``tests/fetch_oracle.py``.
 """
 
 from __future__ import annotations
@@ -19,18 +21,18 @@ from repro.core.config import SystemConfig
 from repro.errors import ConfigurationError
 from repro.isa import Assembler
 from repro.memsys import EPROM
-from repro.pipeline import FetchUnit, miss_events
+from repro.pipeline import miss_events
 from repro.prefetch import (
     FETCH_POLICIES,
-    FetchReplay,
-    PrefetchingFetchUnit,
     StaticBTB,
     build_btb,
     build_core,
     simulate_fetch_stream,
     validate_fetch_policy,
 )
-from repro.prefetch.engine import STREAM_SLICE
+from repro.workloads.suite import SIMULATION_PROGRAMS
+
+from fetch_oracle import STREAM_SLICE, FetchUnit, PrefetchingFetchUnit
 
 # ----------------------------------------------------------------------
 # Golden hand-computed prefetch timeline
@@ -205,7 +207,7 @@ def test_fetch_stream_is_split_invariant(
         )
 
     whole = unit()
-    expected = FetchReplay.from_unit(whole, whole.fetch_stream(stream))
+    expected = whole.replay(whole.fetch_stream(stream))
 
     pieces = unit()
     stalls = 0
@@ -215,7 +217,7 @@ def test_fetch_stream_is_split_invariant(
             stalls += sum(pieces.fetch(address) for address in stream[start:stop].tolist())
         else:
             stalls += pieces.fetch_stream(stream[start:stop])
-    assert FetchReplay.from_unit(pieces, stalls) == expected
+    assert pieces.replay(stalls) == expected
     assert pieces.counters() == whole.counters()
 
 
@@ -238,7 +240,7 @@ def test_exact_equals_timeline(addresses, cache_bytes, policy, depth, data):
         prefetch_depth=depth,
         btb=btb,
     )
-    exact = FetchReplay.from_unit(unit, unit.fetch_stream(stream))
+    exact = unit.replay(unit.fetch_stream(stream))
     timeline = simulate_fetch_stream(
         stream,
         cache_bytes,
@@ -314,7 +316,7 @@ def test_real_workload_ccrp_equivalence():
                     policy=policy,
                     btb=btb,
                 )
-                exact = FetchReplay.from_unit(unit, unit.fetch_stream(addresses))
+                exact = unit.replay(unit.fetch_stream(addresses))
                 timeline = simulate_fetch_stream(
                     events,
                     256,
@@ -326,6 +328,35 @@ def test_real_workload_ccrp_equivalence():
                     btb=btb,
                 )
                 assert exact == timeline, (name, memory, policy)
+
+
+def test_study_prefetch_replays_equal_the_full_trace_walk():
+    """The prefetch study's 24 sc_dram cells at 1,024 B: the replay its
+    tables read equals, in every field, a per-access walk of each
+    simulation program's whole trace."""
+    from repro.core.artifacts import get_study
+
+    for name in SIMULATION_PROGRAMS:
+        study = get_study(name)
+        for policy in FETCH_POLICIES:
+            config = SystemConfig(
+                cache_bytes=1024,
+                memory="sc_dram",
+                timing="pipeline",
+                fetch_policy=policy,
+            )
+            unit = PrefetchingFetchUnit(
+                config.cache_bytes,
+                config.memory,
+                line_size=study.image.line_size,
+                refill=study.refill_engine(config.memory, config.decoder),
+                clb=CLB(entries=config.clb_entries),
+                policy=policy,
+                prefetch_depth=config.prefetch_depth,
+                btb=study.btb() if policy == "btb" else None,
+            )
+            exact = unit.replay(unit.fetch_stream(study.execution.trace.addresses))
+            assert study.prefetch_replay(config) == exact, (name, policy)
 
 
 def test_fetch_replay_fields_are_python_ints():
@@ -341,7 +372,7 @@ def test_fetch_replay_fields_are_python_ints():
     )
     stalls = sum(unit.fetch(address) for address in addresses.tolist())
     replays = (
-        FetchReplay.from_unit(unit, stalls),
+        unit.replay(stalls),
         simulate_fetch_stream(
             addresses,
             256,

@@ -1,6 +1,6 @@
 """Chaos tests: the service under injected faults.
 
-A :class:`~repro.service.chaos.ChaosProxy` sits between the client and a
+A :class:`~chaos.ChaosProxy` sits between the client and a
 live server, tearing frames, resetting connections, delaying traffic,
 and killing workers on a *replayable* schedule.  The invariant under
 test is the resilience contract of ISSUE 10: every request ends in
@@ -20,8 +20,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ServiceError
-from repro.service.chaos import DOWN, UP, ChaosAction, ScriptedSchedule, SeededSchedule
 
+from chaos import DOWN, UP, ChaosAction, ScriptedSchedule, SeededSchedule
 from service_harness import LiveService
 
 #: A tiny but compressible program segment (shared by every scenario so
