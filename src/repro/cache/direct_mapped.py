@@ -6,17 +6,12 @@ stream is identical* for the baseline RISC and the CCRP — compression is
 transparent to addressing — so one simulation serves both machines and
 only refill timing differs.
 
-Two implementations are provided:
-
-* :class:`DirectMappedCache` — a readable, stateful reference model;
-* :func:`simulate_trace` — a vectorised equivalent, built on the
-  per-access :func:`miss_mask`.  A direct-mapped cache hits exactly when
-  the previous access to the same set touched the same line, so misses
-  can be computed with one stable sort by set index followed by a
-  neighbour comparison: O(n log n) in numpy instead of an interpreted
-  loop per access.
-
-Property-based tests assert the two agree on random traces.
+:func:`simulate_trace` is built on the per-access :func:`miss_mask`.  A
+direct-mapped cache hits exactly when the previous access to the same set
+touched the same line, so misses can be computed with one stable sort by
+set index followed by a neighbour comparison: O(n log n) in numpy instead
+of an interpreted loop per access.  Property-based tests check it against
+the stateful per-access reference in ``tests/fetch_oracle.py``.
 """
 
 from __future__ import annotations
@@ -40,50 +35,6 @@ def _check_geometry(cache_bytes: int, line_size: int) -> int:
     if num_sets & (num_sets - 1):
         raise ConfigurationError(f"number of sets {num_sets} is not a power of two")
     return num_sets
-
-
-class DirectMappedCache:
-    """Stateful reference model of a direct-mapped cache.
-
-    Example::
-
-        cache = DirectMappedCache(cache_bytes=1024)
-        hit = cache.access(address)
-    """
-
-    def __init__(self, cache_bytes: int, line_size: int = DEFAULT_LINE_SIZE) -> None:
-        self.num_sets = _check_geometry(cache_bytes, line_size)
-        self.line_size = line_size
-        self._line_shift = line_size.bit_length() - 1
-        self._resident: list[int | None] = [None] * self.num_sets
-        self.accesses = 0
-        self.misses = 0
-        self.miss_lines: list[int] = []
-
-    def access(self, address: int) -> bool:
-        """Access one byte address; returns True on a hit."""
-        line = address >> self._line_shift
-        set_index = line % self.num_sets
-        self.accesses += 1
-        if self._resident[set_index] == line:
-            return True
-        self._resident[set_index] = line
-        self.misses += 1
-        self.miss_lines.append(line)
-        return False
-
-    def run(self, addresses) -> CacheStats:
-        """Access a whole trace and return the statistics."""
-        for address in addresses:
-            self.access(int(address))
-        return self.stats()
-
-    def stats(self) -> CacheStats:
-        return CacheStats(
-            accesses=self.accesses,
-            misses=self.misses,
-            miss_lines=np.array(self.miss_lines, dtype=np.int64),
-        )
 
 
 def miss_mask(

@@ -21,16 +21,13 @@ from repro.core.metrics import METRICS, MetricsRegistry
 from repro.core.performance import ComparisonReport, SystemMetrics
 from repro.core.standard import standard_code
 from repro.core.study import ProgramStudy, compare
-from repro.core.sweep import FailureReport, SweepResult, sweep, sweep_many
 
 __all__ = [
     "ArtifactCache",
     "ComparisonReport",
-    "FailureReport",
     "METRICS",
     "MetricsRegistry",
     "ProgramStudy",
-    "SweepResult",
     "SystemConfig",
     "SystemMetrics",
     "compare",
@@ -38,6 +35,4 @@ __all__ = [
     "get_study",
     "set_cache_enabled",
     "standard_code",
-    "sweep",
-    "sweep_many",
 ]

@@ -13,25 +13,16 @@ with the workload and grid coordinates), and every other point's report
 survives.  Pass ``strict=True`` to restore fail-fast: the first
 unrecoverable task re-raises, annotated with the failing workload.
 
-Sweeps also **scale out** along two axes:
-
-* ``jobs=N`` fans grid points (or whole workloads, in
-  :func:`sweep_many`) across a process pool.  The parent builds the
-  study *once* before spawning — the single-flight pre-warm — so cold
-  workers inherit it (``fork`` start method) or load it from the disk
-  artifact cache instead of N workers re-simulating the same study.
-* ``shard=(i, n)`` runs only the i-th of ``n`` contiguous slices of the
-  task list, so one sweep can split across machines.  Reassembling the
-  shard results in partition order with :func:`merge_shards` (or shard
-  files with :func:`merge_shard_files`) is byte-identical — reports
-  *and* failures — to the unsharded run.
+``jobs=N`` fans grid points (or whole workloads, in :func:`sweep_many`)
+across a process pool.  The parent builds the study *once* before
+spawning — the single-flight pre-warm — so cold workers inherit it
+(``fork`` start method) or load it from the disk artifact cache instead
+of N workers re-simulating the same study.
 """
 
 from __future__ import annotations
 
 import csv
-import os
-import pickle
 import traceback
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -43,8 +34,9 @@ from repro.core import artifacts
 from repro.core.config import SystemConfig
 from repro.core.metrics import METRICS
 from repro.core.performance import ComparisonReport
+from repro.core.pool import FailureReport, effective_jobs, pool_context
 from repro.core.study import ProgramStudy
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.workloads.suite import Workload
 
 #: Columns written by :meth:`SweepResult.to_csv`, in order.
@@ -63,44 +55,11 @@ CSV_COLUMNS = (
 #: Default bounded retry per failing grid point / workload.
 DEFAULT_RETRIES = 1
 
-#: Default sweep axes (also the grid shape :func:`sweep_many` shards over).
+#: Default sweep axes.
 DEFAULT_CACHE_SIZES = (256, 512, 1024, 2048, 4096)
 DEFAULT_MEMORIES = ("eprom", "burst_eprom", "sc_dram")
 DEFAULT_CLB_ENTRIES = (16,)
 DEFAULT_DATA_MISS_RATES = (1.0,)
-
-#: Version tag of the shard files written by ``ccrp-sweep --emit-shard``.
-SHARD_SCHEMA = "ccrp-sweep-shard/1"
-
-
-@dataclass(frozen=True)
-class FailureReport:
-    """One task the sweep could not complete, with full attribution.
-
-    Attributes:
-        workload: Name of the workload whose task failed.
-        detail: Which grid point (or stage) failed, human-readable.
-        error_type: Exception class name.
-        message: Exception message.
-        attempts: Total attempts made (1 + retries).
-        traceback: Formatted traceback of the last attempt, when one was
-            captured (worker-side tracebacks travel back as strings).
-    """
-
-    workload: str
-    detail: str
-    error_type: str
-    message: str
-    attempts: int
-    traceback: str = ""
-
-    def render(self) -> str:
-        """One-line summary for CLI output and logs."""
-        return (
-            f"{self.workload} [{self.detail}]: {self.error_type}: "
-            f"{self.message} (after {self.attempts} attempt"
-            f"{'s' if self.attempts != 1 else ''})"
-        )
 
 
 def _config_detail(config: SystemConfig) -> str:
@@ -215,55 +174,8 @@ def _grid(
 
 
 # ----------------------------------------------------------------------
-# Worker-pool plumbing
+# Worker entry point and retries
 # ----------------------------------------------------------------------
-
-
-def available_cpus() -> int:
-    """CPUs actually available to this process.
-
-    ``os.cpu_count()`` reports the machine, which overreports inside
-    cgroup- or affinity-limited containers (a CI runner pinned to one
-    core still "has" 64 CPUs).  The scheduler affinity mask is the
-    honest bound where the platform exposes it.
-    """
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    if getaffinity is not None:
-        try:
-            return len(getaffinity(0)) or 1
-        except OSError:  # pragma: no cover - platform quirk
-            pass
-    count = os.cpu_count()
-    return count if count else 1
-
-
-def effective_jobs(jobs: int | None, tasks: int) -> int:
-    """Worker processes actually worth spawning for ``tasks`` tasks.
-
-    Clamps the requested count to the task count and to
-    :func:`available_cpus` — extra workers past either bound only add
-    process start-up and scheduling cost.  ``None`` and any result of 1
-    mean "run serial, no pool".
-    """
-    if jobs is None or tasks <= 0:
-        return 1
-    return max(1, min(jobs, tasks, available_cpus()))
-
-
-def _pool_context():
-    """The warm-start multiprocessing context sweep pools run under.
-
-    Prefers ``fork`` so workers inherit the parent's pre-warmed study
-    LRU copy-on-write (no per-worker rebuild, not even a disk load),
-    then ``forkserver``, then the platform default.
-    """
-    import multiprocessing  # serial runs never load the pool modules
-
-    methods = multiprocessing.get_all_start_methods()
-    for method in ("fork", "forkserver"):
-        if method in methods:
-            return multiprocessing.get_context(method)
-    return multiprocessing.get_context()  # pragma: no cover - non-POSIX
 
 
 def _metrics_chunk(workload: str, configs: Sequence[SystemConfig]) -> tuple:
@@ -322,125 +234,6 @@ def _retry_config(
 
 
 # ----------------------------------------------------------------------
-# Sharding
-# ----------------------------------------------------------------------
-
-
-def shard_span(total: int, shard: Sequence[int]) -> tuple[int, int]:
-    """The contiguous ``[start, stop)`` slice of shard ``(index, count)``.
-
-    Tasks are split as evenly as possible (sizes differ by at most one)
-    and the ``count`` slices cover ``range(total)`` exactly, so running
-    every shard and concatenating in index order reproduces the
-    unsharded task list.
-    """
-    try:
-        index, count = shard
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"shard must be an (index, count) pair, got {shard!r}"
-        ) from None
-    if count < 1:
-        raise ConfigurationError(f"shard count must be at least 1, got {count}")
-    if not 0 <= index < count:
-        raise ConfigurationError(
-            f"shard index must be in [0, {count}), got {index}"
-        )
-    return (total * index) // count, (total * (index + 1)) // count
-
-
-def merge_shards(shards: Iterable[SweepResult]) -> SweepResult:
-    """Reassemble shard results, given in partition order (shard 0 first).
-
-    Because shards are contiguous slices of the task list and a sweep
-    emits reports and failures in task order, plain concatenation is
-    byte-identical — reports *and* :class:`FailureReport` entries — to
-    the unsharded run.  (The one exception: a workload whose *study*
-    cannot be built emits one summarising failure per shard that covers
-    it, where the unsharded run emits a single one.)
-    """
-    reports: list[ComparisonReport] = []
-    failures: list[FailureReport] = []
-    for shard in shards:
-        reports.extend(shard.reports)
-        failures.extend(shard.failures)
-    return SweepResult(reports=tuple(reports), failures=tuple(failures))
-
-
-def write_shard_file(
-    path: str | Path, result: SweepResult, shard: Sequence[int], spec: dict
-) -> Path:
-    """Persist one shard's result for a later :func:`merge_shard_files`.
-
-    ``spec`` is the full sweep specification (workloads and axes); the
-    merge refuses to combine shards whose specs differ, so a shard of
-    the wrong sweep can never silently corrupt a merged result.
-    """
-    index, count = shard
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema": SHARD_SCHEMA,
-        "spec": dict(spec),
-        "shard": (int(index), int(count)),
-        "result": result,
-    }
-    with path.open("wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    return path
-
-
-def read_shard_file(path: str | Path) -> dict:
-    """Load and validate one shard file written by :func:`write_shard_file`."""
-    path = Path(path)
-    try:
-        with path.open("rb") as handle:
-            payload = pickle.load(handle)
-    except FileNotFoundError:
-        raise ConfigurationError(f"shard file not found: {path}") from None
-    except Exception as error:
-        raise ConfigurationError(f"unreadable shard file {path}: {error}") from None
-    if not isinstance(payload, dict) or payload.get("schema") != SHARD_SCHEMA:
-        raise ConfigurationError(
-            f"{path} is not a {SHARD_SCHEMA} shard file"
-        )
-    return payload
-
-
-def merge_shard_files(paths: Sequence[str | Path]) -> SweepResult:
-    """Merge shard files into one result, validating the partition.
-
-    Requires every shard to come from the same sweep spec and the shard
-    indices to form the complete partition ``0..count-1``; shards may be
-    given in any order (they are sorted by index before merging).
-    """
-    if not paths:
-        raise ConfigurationError("no shard files to merge")
-    payloads = [read_shard_file(path) for path in paths]
-    spec = payloads[0]["spec"]
-    count = payloads[0]["shard"][1]
-    for path, payload in zip(paths, payloads):
-        if payload["spec"] != spec:
-            raise ConfigurationError(
-                f"shard {path} comes from a different sweep "
-                f"(spec {payload['spec']!r} != {spec!r})"
-            )
-        if payload["shard"][1] != count:
-            raise ConfigurationError(
-                f"shard {path} uses a different shard count "
-                f"({payload['shard'][1]} != {count})"
-            )
-    indices = sorted(payload["shard"][0] for payload in payloads)
-    if indices != list(range(count)):
-        raise ConfigurationError(
-            f"incomplete shard partition: have indices {indices}, "
-            f"need exactly 0..{count - 1}"
-        )
-    ordered = sorted(payloads, key=lambda payload: payload["shard"][0])
-    return merge_shards(payload["result"] for payload in ordered)
-
-
-# ----------------------------------------------------------------------
 # The sweeps
 # ----------------------------------------------------------------------
 
@@ -456,8 +249,6 @@ def sweep(
     jobs: int | None = None,
     strict: bool = False,
     retries: int = DEFAULT_RETRIES,
-    shard: Sequence[int] | None = None,
-    _span: tuple[int, int] | None = None,
 ) -> SweepResult:
     """Run the full cross product of the given parameter axes.
 
@@ -478,23 +269,9 @@ def sweep(
             with the workload name) instead of recording a
             :class:`FailureReport` and returning partial results.
         retries: Bounded re-attempts per failing task before giving up.
-        shard: ``(index, count)`` — run only this contiguous slice of
-            the grid (see :func:`shard_span`); :func:`merge_shards` over
-            all ``count`` shards reproduces the unsharded result.
-        _span: Internal ``[start, stop)`` grid slice used by
-            :func:`sweep_many` sharding; mutually exclusive with
-            ``shard``.
     """
     decoder = decoder or DecoderModel()
     configs = _grid(cache_sizes, memories, clb_entries, data_miss_rates, decoder)
-    if shard is not None and _span is not None:
-        raise ConfigurationError("pass shard or _span, not both")
-    if shard is not None:
-        start, stop = shard_span(len(configs), shard)
-        configs = configs[start:stop]
-    elif _span is not None:
-        start, stop = _span
-        configs = configs[start:stop]
     workload_name = workload if isinstance(workload, str) else workload.name
     failures: list[tuple[int, FailureReport]] = []
     reports: list[ComparisonReport | None] = [None] * len(configs)
@@ -582,7 +359,7 @@ def sweep(
 
         chunks = [configs[index::workers] for index in range(workers)]
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_pool_context()
+            max_workers=workers, mp_context=pool_context()
         ) as pool:
             futures = [pool.submit(_metrics_chunk, workload, chunk) for chunk in chunks]
             for stripe, future in enumerate(futures):
@@ -616,22 +393,12 @@ def sweep(
                     traceback.format_exc(),
                 )
     # Failures surface in task order regardless of which worker (or
-    # stripe) hit them, so serial, parallel, and merged-shard runs all
-    # produce identical SweepResults.
+    # stripe) hit them, so serial and parallel runs produce identical
+    # SweepResults.
     failures.sort(key=lambda entry: entry[0])
     return SweepResult(
         reports=tuple(report for report in reports if report is not None),
         failures=tuple(report for _, report in failures),
-    )
-
-
-def _grid_size(axes: dict) -> int:
-    """Grid points per workload for :func:`sweep_many`'s task arithmetic."""
-    return (
-        len(axes.get("cache_sizes", DEFAULT_CACHE_SIZES))
-        * len(axes.get("memories", DEFAULT_MEMORIES))
-        * len(axes.get("clb_entries", DEFAULT_CLB_ENTRIES))
-        * len(axes.get("data_miss_rates", DEFAULT_DATA_MISS_RATES))
     )
 
 
@@ -682,7 +449,6 @@ def sweep_many(
     jobs: int | None = None,
     strict: bool = False,
     retries: int = DEFAULT_RETRIES,
-    shard: Sequence[int] | None = None,
     **axes,
 ) -> SweepResult:
     """Sweep several workloads and concatenate the results.
@@ -690,11 +456,6 @@ def sweep_many(
     With ``jobs`` set, whole workloads fan across a process pool (each
     worker warms up from the shared on-disk artifact cache); results are
     concatenated in the given workload order, exactly as a serial run.
-
-    With ``shard=(i, n)`` set, only the i-th contiguous slice of the
-    flattened ``workloads x grid`` task list runs — the unit of
-    cross-machine splitting — and :func:`merge_shards` over all ``n``
-    shard results reproduces the unsharded run byte-for-byte.
 
     One failing workload never takes the rest of the sweep down: its
     tasks are retried (bounded by ``retries``) and then recorded as
@@ -704,17 +465,7 @@ def sweep_many(
     """
     workloads = list(workloads)
     axes = dict(axes, strict=strict, retries=retries)
-    tasks: list[tuple[str, dict]] = []
-    if shard is not None:
-        grid = _grid_size(axes)
-        start, stop = shard_span(len(workloads) * grid, shard)
-        for index, workload in enumerate(workloads):
-            low, high = index * grid, (index + 1) * grid
-            begin, end = max(start, low), min(stop, high)
-            if begin < end:
-                tasks.append((workload, dict(axes, _span=(begin - low, end - low))))
-    else:
-        tasks = [(workload, axes) for workload in workloads]
+    tasks = [(workload, axes) for workload in workloads]
     reports: list[ComparisonReport] = []
     failures: list[FailureReport] = []
     workers = effective_jobs(jobs, len(tasks))
@@ -724,7 +475,7 @@ def sweep_many(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_pool_context()
+            max_workers=workers, mp_context=pool_context()
         ) as pool:
             futures = [
                 pool.submit(_sweep_one, workload, task_axes)

@@ -67,7 +67,7 @@ class ServiceError(ReproError):
             ``"bad_request"``, ``"worker_crash"``, ``"shutting_down"``,
             ``"job_failed"``, ``"deadline_exceeded"``, ``"too_large"``,
             ``"timeout"``, ``"unavailable"``, ``"connection_lost"``).
-        failure: The serialised :class:`~repro.core.sweep.FailureReport`
+        failure: The serialised :class:`~repro.core.pool.FailureReport`
             dict attached to job failures, when the server captured one.
         op: The request op the client was attempting, when known (set by
             the client's retry layer when it wraps transport errors).

@@ -118,9 +118,6 @@ class PipelineValidationResult:
             "\ncannot, and forgives latency the instruction spacing absorbs."
         )
 
-    def rows_for(self, program: str) -> tuple[ValidationRow, ...]:
-        return tuple(row for row in self.rows if row.program == program)
-
 
 def straight_line_workload() -> Workload:
     """The hazard-free validation program as an ad-hoc workload."""

@@ -116,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run the named experiments and print their rendered tables."""
     from repro.core import artifacts
     from repro.core.metrics import METRICS
-    from repro.core.sweep import _pool_context, effective_jobs
+    from repro.core.pool import effective_jobs, pool_context
     from repro.experiments.export import export_payload
 
     registry = _registry()
@@ -196,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(
-                max_workers=jobs_effective, mp_context=_pool_context()
+                max_workers=jobs_effective, mp_context=pool_context()
             ) as pool:
                 futures = [
                     pool.submit(

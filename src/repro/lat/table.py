@@ -68,10 +68,6 @@ class LineAddressTable:
         """LAT index for an original line number (address >> 5)."""
         return line_number // LINES_PER_ENTRY
 
-    def entry_for_line(self, line_number: int) -> LATEntry:
-        self._check_line(line_number)
-        return self.entries[line_number // LINES_PER_ENTRY]
-
     def locate(self, line_number: int) -> BlockLocation:
         """Find the compressed block holding original line ``line_number``."""
         self._check_line(line_number)

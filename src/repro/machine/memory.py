@@ -18,13 +18,14 @@ _ADDRESS_MASK = MEMORY_BYTES - 1
 
 
 class Memory:
-    """Byte-addressable big-endian memory with word/half/byte accessors.
+    """Byte-addressable big-endian memory.
 
-    Addresses are masked to 24 bits rather than bounds-checked: the paper's
-    embedded system has exactly this physical space and no MMU faults.
-    Alignment *is* checked, because the R2000 raises address-error
-    exceptions for unaligned word/halfword accesses and silently wrong
-    simulation results are worse than an error.
+    The executor's compiled loads and stores index :attr:`data` directly
+    (and check word/halfword alignment there, because the R2000 raises
+    address-error exceptions for unaligned accesses and silently wrong
+    simulation results are worse than an error).  Addresses are masked to
+    24 bits rather than bounds-checked: the paper's embedded system has
+    exactly this physical space and no MMU faults.
     """
 
     __slots__ = ("data",)
@@ -40,47 +41,6 @@ class Memory:
                 f"segment [{base:#x}, {base + len(payload):#x}) exceeds 24-bit memory"
             )
         self.data[base : base + len(payload)] = payload
-
-    def read_word(self, address: int) -> int:
-        address &= _ADDRESS_MASK
-        if address % 4:
-            raise ExecutionError(f"unaligned word read at {address:#x}")
-        data = self.data
-        return (
-            (data[address] << 24)
-            | (data[address + 1] << 16)
-            | (data[address + 2] << 8)
-            | data[address + 3]
-        )
-
-    def write_word(self, address: int, value: int) -> None:
-        address &= _ADDRESS_MASK
-        if address % 4:
-            raise ExecutionError(f"unaligned word write at {address:#x}")
-        data = self.data
-        data[address] = (value >> 24) & 0xFF
-        data[address + 1] = (value >> 16) & 0xFF
-        data[address + 2] = (value >> 8) & 0xFF
-        data[address + 3] = value & 0xFF
-
-    def read_half(self, address: int) -> int:
-        address &= _ADDRESS_MASK
-        if address % 2:
-            raise ExecutionError(f"unaligned halfword read at {address:#x}")
-        return (self.data[address] << 8) | self.data[address + 1]
-
-    def write_half(self, address: int, value: int) -> None:
-        address &= _ADDRESS_MASK
-        if address % 2:
-            raise ExecutionError(f"unaligned halfword write at {address:#x}")
-        self.data[address] = (value >> 8) & 0xFF
-        self.data[address + 1] = value & 0xFF
-
-    def read_byte(self, address: int) -> int:
-        return self.data[address & _ADDRESS_MASK]
-
-    def write_byte(self, address: int, value: int) -> None:
-        self.data[address & _ADDRESS_MASK] = value & 0xFF
 
     def read_string(self, address: int, limit: int = 4096) -> str:
         """Read a NUL-terminated latin-1 string (for the print syscall)."""

@@ -202,7 +202,3 @@ class ExecutionTrace:
         if self._addresses is None:
             return self.blocks.execution_counts(text_words)
         return np.bincount(self.instruction_indices, minlength=text_words)
-
-    def touched_lines(self, line_size: int = 32) -> np.ndarray:
-        """Sorted unique cache-line numbers the trace touches."""
-        return np.unique(self.line_addresses(line_size))

@@ -85,13 +85,6 @@ class BlockTable:
         """Block id containing each static word index."""
         return np.searchsorted(self.starts, words, side="right") - 1
 
-    def prefix_stalls(self, block: int, length: int) -> int:
-        """Hazard stalls of the first ``length`` instructions of a block
-        (a truncated final event of a capped trace)."""
-        scoreboard = Scoreboard(self._timing)
-        start = int(self.starts[block])
-        return scoreboard.run(range(start, start + length))
-
 
 def replay_trace(
     trace: ExecutionTrace | np.ndarray,

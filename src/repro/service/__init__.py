@@ -9,7 +9,7 @@ JSON+binary frame protocol (:mod:`repro.service.protocol`) and fans the
 work across a pool of warm-started worker processes
 (:mod:`repro.service.workers`) that reuse the artifact cache, the
 single-flight build machinery, and the fork start-method plumbing of
-:mod:`repro.core.sweep`.
+:mod:`repro.core.pool`.
 
 Service contract highlights (full spec in ``docs/modeling_notes.md``
 sections 14 and 16):

@@ -51,7 +51,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.core import artifacts
 from repro.core.metrics import MetricsRegistry
-from repro.core.sweep import FailureReport
+from repro.core.pool import FailureReport
 from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.service.protocol import (
     FrameTooLarge,

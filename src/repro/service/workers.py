@@ -5,13 +5,13 @@ drains its queue into worker-sized chunks so a burst of small requests
 pays the process round trip once per chunk, not once per request.  Jobs
 never take a worker down — each is attempted independently, exceptions
 travel back as structured ``("err", type, message, traceback)`` tuples
-(the :class:`~repro.core.sweep.FailureReport` discipline), and the
+(the :class:`~repro.core.pool.FailureReport` discipline), and the
 batch returns its :data:`~repro.core.metrics.METRICS` snapshot so the
 server can fold worker-side cache counters (``artifacts.build``,
 ``artifacts.coalesced``, ...) into the live ``stats`` endpoint.
 
-The pool itself (:class:`WorkerPool`) reuses the warm-start machinery of
-:mod:`repro.core.sweep`: workers fork (or use ``forkserver`` where
+The pool itself (:class:`WorkerPool`) reuses the warm-start context of
+:mod:`repro.core.pool`: workers fork (or use ``forkserver`` where
 ``fork`` is unavailable) from the server process, share the on-disk
 artifact cache, and coalesce concurrent builds of the same artifact through the per-key
 ``flock`` single-flight of :mod:`repro.core.artifacts`.  Every fresh
@@ -44,7 +44,8 @@ from repro.core import artifacts
 from repro.core.config import SystemConfig
 from repro.core.metrics import METRICS
 from repro.core.standard import standard_code
-from repro.core.sweep import _pool_context, available_cpus
+from repro.core.study import compare
+from repro.core.pool import available_cpus, pool_context
 from repro.errors import ConfigurationError, IntegrityError
 from repro.faults.integrity import crc8
 
@@ -188,7 +189,7 @@ def _job_simulate(params: dict, payload: bytes) -> tuple[dict, bytes]:
             miss_rate=float(params.get("data_cache_miss_rate", 1.0))
         ),
     )
-    report = artifacts.get_study(workload).metrics(config)
+    report = compare(workload, config)
     result = {name: getattr(report, name) for name in SIMULATE_FIELDS}
     result["baseline_cycles"] = report.baseline.total_cycles
     result["ccrp_cycles"] = report.ccrp.total_cycles
@@ -213,11 +214,10 @@ def run_jobs(
 ) -> tuple[list[tuple], dict]:
     """Worker entry point: execute one batch, capture per-job outcomes.
 
-    Mirrors :func:`repro.core.sweep._metrics_chunk`: outcomes are
-    ``("ok", result, payload)`` or ``("err", type, message, traceback)``
-    per job — one bad request never discards the rest of the batch —
-    and the second return value is this batch's metrics snapshot for the
-    server to merge.
+    Outcomes are ``("ok", result, payload)`` or ``("err", type, message,
+    traceback)`` per job — one bad request never discards the rest of the
+    batch — and the second return value is this batch's metrics snapshot
+    for the server to merge.
 
     Each job carries an optional absolute wall-clock deadline
     (``time.time()`` seconds; server and workers share a host).  A job
@@ -286,7 +286,7 @@ class WorkerPool:
         """Create the executor and fork the workers up front."""
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers,
-            mp_context=_pool_context(),
+            mp_context=pool_context(),
             initializer=_worker_init,
         )
         # Touch every worker slot so the forks (and their first imports)

@@ -1,10 +1,9 @@
-"""``ccrp-faults`` — fault-injection study and harness-degradation demo.
+"""``ccrp-faults`` — the fault-injection study from the command line.
 
 Runs the blast-radius / refill-integrity study of
-:mod:`repro.experiments.fault_study` from one seed, checks the paper's
+:mod:`repro.experiments.fault_study` from one seed and checks the paper's
 robustness properties (block codecs confine a single fault to one line;
-LZW cascades), and optionally demonstrates the crash-proof sweep harness
-by injecting a failing workload into a multi-workload sweep.
+LZW cascades).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.experiments.fault_study import (
     DEFAULT_PROGRAMS,
     DEFAULT_TRIALS,
@@ -24,47 +23,6 @@ from repro.experiments.fault_study import (
 #: Tiny but sufficient trial count for the CI gate (still exercises every
 #: codec x model cell across all default programs).
 SMOKE_TRIALS = 2
-
-
-def _harness_demo(strict: bool, jobs: int) -> int:
-    """Sweep real workloads plus one bogus name through ``sweep_many``.
-
-    Graceful mode must finish with the real workloads' reports intact and
-    exactly one :class:`~repro.core.sweep.FailureReport` naming the bogus
-    workload; ``--strict`` must fail fast with a nonzero exit.  Returns
-    the process exit code.
-    """
-    from repro.core.sweep import sweep_many
-
-    workloads = ["eightq", "does-not-exist"]
-    print(f"\nHarness degradation demo: sweeping {workloads} "
-          f"({'strict' if strict else 'graceful'}, jobs={jobs})")
-    try:
-        result = sweep_many(
-            workloads,
-            jobs=jobs,
-            strict=strict,
-            cache_sizes=(1024,),
-            memories=("eprom",),
-        )
-    except ReproError as error:
-        if strict:
-            print(f"ccrp-faults: strict sweep failed fast as required: {error}",
-                  file=sys.stderr)
-            return 1
-        raise
-    if strict:
-        print("ccrp-faults: strict sweep did NOT fail on a bogus workload",
-              file=sys.stderr)
-        return 1
-    print(f"  completed reports: {len(result.reports)}")
-    for failure in result.failures:
-        print(f"  failure: {failure.render()}")
-    if not result.reports or not result.failures:
-        print("ccrp-faults: graceful sweep lost completed results or the "
-              "failure report", file=sys.stderr)
-        return 1
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,19 +45,6 @@ def main(argv: list[str] | None = None) -> int:
         "--smoke", action="store_true",
         help=f"CI mode: {SMOKE_TRIALS} trials, exit nonzero unless every "
         "robustness property holds",
-    )
-    parser.add_argument(
-        "--inject-worker-failure", action="store_true",
-        help="also sweep a bogus workload to demonstrate graceful harness "
-        "degradation (fail-fast under --strict)",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="with --inject-worker-failure: require the sweep to fail fast",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=2,
-        help="process-pool width for the harness demo (default: 2)",
     )
     parser.add_argument(
         "--output", type=Path, metavar="FILE", help="also write the tables here"
@@ -142,10 +87,6 @@ def main(argv: list[str] | None = None) -> int:
         print("\nAll robustness properties hold: single faults bounded to one "
               "line under block codecs, 100% bit-flip detection, LZW cascade "
               "demonstrated.")
-
-    if args.inject_worker_failure:
-        demo_code = _harness_demo(args.strict, args.jobs)
-        exit_code = exit_code or demo_code
 
     if args.metrics:
         from repro.core.metrics import METRICS

@@ -1,25 +1,19 @@
-"""``ccrp-sweep`` — run, shard, and merge design-space sweeps.
+"""``ccrp-sweep`` — run design-space sweeps from the command line.
 
-The cross-machine face of :mod:`repro.core.sweep`: one invocation runs a
-sweep (optionally one shard of it), another merges emitted shard files
-back into the exact result a single unsharded run would have produced.
+The command-line face of :mod:`repro.core.sweep`: sweeps the cross
+product of the given axes for each named workload, optionally across a
+process pool, and exports the reports and failure reports.
 
-Examples::
+Example::
 
     # One machine, four worker processes
     ccrp-sweep eightq lloop01 --cache-sizes 256 512 1024 --jobs 4 \\
         --csv sweep.csv --json sweep.json
 
-    # Three machines, one shard each, then a merge anywhere
-    ccrp-sweep eightq lloop01 --shard 0/3 --emit-shard shard0.pkl
-    ccrp-sweep eightq lloop01 --shard 1/3 --emit-shard shard1.pkl
-    ccrp-sweep eightq lloop01 --shard 2/3 --emit-shard shard2.pkl
-    ccrp-sweep --merge shard0.pkl shard1.pkl shard2.pkl --json merged.json
-
-The merged result is byte-identical — reports *and* failure reports — to
-the unsharded run, so shard files can be verified with ``cmp`` against a
-serial run's ``--json`` export.  Exits 0 on a clean sweep, 1 when any
-task failed (the partial results are still written), 2 on usage errors.
+The ``--json`` export is deterministic, so a parallel run can be checked
+with ``cmp`` against a serial run's export.  Exits 0 on a clean sweep, 1
+when any task failed (the partial results are still written), 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -37,25 +31,12 @@ from repro.core.sweep import (
     DEFAULT_MEMORIES,
     DEFAULT_RETRIES,
     SweepResult,
-    merge_shard_files,
     sweep_many,
-    write_shard_file,
 )
 from repro.errors import ReproError
 
 #: Version tag of the ``--json`` export.
 JSON_SCHEMA = "ccrp-sweep/1"
-
-
-def _parse_shard(text: str) -> tuple[int, int]:
-    """``"I/N"`` -> ``(I, N)``; range checks happen in the sweep layer."""
-    try:
-        index, count = text.split("/")
-        return int(index), int(count)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"shard must look like INDEX/COUNT (e.g. 0/4), got {text!r}"
-        ) from None
 
 
 def result_payload(result: SweepResult) -> dict:
@@ -77,13 +58,13 @@ def _write_json(result: SweepResult, path: Path) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ccrp-sweep",
-        description="Sweep the CCRP design space across processes and "
-        "machines: run a (shard of a) workload grid, emit partial results, "
-        "and merge shards byte-identically to a serial run.",
+        description="Sweep the CCRP design space: run each workload's grid "
+        "of cache sizes, memories, CLB sizes and data-cache miss rates, "
+        "serially or across worker processes.",
     )
     parser.add_argument(
-        "workloads", nargs="*", metavar="WORKLOAD",
-        help="suite workload names to sweep (omit when using --merge)",
+        "workloads", nargs="+", metavar="WORKLOAD",
+        help="suite workload names to sweep",
     )
     parser.add_argument(
         "--cache-sizes", type=int, nargs="+", default=list(DEFAULT_CACHE_SIZES),
@@ -104,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="fan this machine's share across N worker processes (clamped "
+        help="fan the workloads across N worker processes (clamped "
         "to the CPUs actually available; the study is pre-built once)",
     )
     parser.add_argument(
@@ -117,27 +98,12 @@ def main(argv: list[str] | None = None) -> int:
         "recording a FailureReport",
     )
     parser.add_argument(
-        "--shard", type=_parse_shard, metavar="I/N",
-        help="run only the I-th of N contiguous slices of the "
-        "workloads x grid task list (for cross-machine splits)",
-    )
-    parser.add_argument(
-        "--emit-shard", type=Path, metavar="FILE",
-        help="write this run's partial SweepResult (reports + failures) "
-        "as a shard file for ccrp-sweep --merge",
-    )
-    parser.add_argument(
-        "--merge", nargs="+", type=Path, metavar="FILE",
-        help="instead of sweeping, merge these shard files (any order; "
-        "the partition must be complete and from one sweep spec)",
-    )
-    parser.add_argument(
         "--csv", type=Path, metavar="FILE", help="write the reports as CSV"
     )
     parser.add_argument(
         "--json", type=Path, metavar="FILE",
         help="write reports and failures as deterministic JSON "
-        "(byte-comparable between serial and merged-shard runs)",
+        "(byte-comparable between serial and parallel runs)",
     )
     parser.add_argument(
         "--metrics", type=Path, metavar="FILE",
@@ -145,55 +111,27 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.merge and args.workloads:
-        parser.error("--merge and workload arguments are mutually exclusive")
-    if not args.merge and not args.workloads:
-        parser.error("name at least one workload (or use --merge)")
-    if args.emit_shard and args.merge:
-        parser.error("--emit-shard applies to a sweep run, not --merge")
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be at least 1")
     if args.retries < 0:
         parser.error("--retries must be at least 0")
 
-    spec = {
-        "workloads": list(args.workloads),
-        "cache_sizes": list(args.cache_sizes),
-        "memories": list(args.memories),
-        "clb_entries": list(args.clb_entries),
-        "data_miss_rates": list(args.data_miss_rates),
-        "retries": args.retries,
-    }
-
     try:
-        if args.merge:
-            result = merge_shard_files(args.merge)
-            print(f"merged {len(args.merge)} shards: {len(result.reports)} "
-                  f"reports, {len(result.failures)} failures")
-        else:
-            result = sweep_many(
-                args.workloads,
-                jobs=args.jobs,
-                strict=args.strict,
-                retries=args.retries,
-                shard=args.shard,
-                cache_sizes=tuple(args.cache_sizes),
-                memories=tuple(args.memories),
-                clb_entries=tuple(args.clb_entries),
-                data_miss_rates=tuple(args.data_miss_rates),
-            )
-            slice_note = (
-                f" (shard {args.shard[0]}/{args.shard[1]})" if args.shard else ""
-            )
-            print(f"swept {', '.join(args.workloads)}{slice_note}: "
-                  f"{len(result.reports)} reports, {len(result.failures)} failures")
-            if args.emit_shard:
-                shard = args.shard if args.shard is not None else (0, 1)
-                path = write_shard_file(args.emit_shard, result, shard, spec)
-                print(f"[wrote shard {shard[0]}/{shard[1]} to {path}]")
+        result = sweep_many(
+            args.workloads,
+            jobs=args.jobs,
+            strict=args.strict,
+            retries=args.retries,
+            cache_sizes=tuple(args.cache_sizes),
+            memories=tuple(args.memories),
+            clb_entries=tuple(args.clb_entries),
+            data_miss_rates=tuple(args.data_miss_rates),
+        )
     except ReproError as error:
         print(f"ccrp-sweep: {error}", file=sys.stderr)
         return 2
+    print(f"swept {', '.join(args.workloads)}: "
+          f"{len(result.reports)} reports, {len(result.failures)} failures")
 
     if result.reports:
         best, worst = result.best(), result.worst()

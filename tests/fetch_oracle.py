@@ -7,6 +7,9 @@ walks its basic blocks.  This module keeps the walks they are checked
 against, one access or one instruction at a time, written to be
 obviously complete rather than fast:
 
+* :class:`DirectMappedCache` — the bare direct-mapped cache, one access
+  at a time, against which :func:`~repro.cache.direct_mapped.simulate_trace`
+  is checked;
 * :class:`FetchUnit` — a direct-mapped instruction cache, an optional
   CLB and refill engine; a miss freezes the pipeline for that line's
   refill (or the standard machine's full-line burst);
@@ -29,7 +32,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.cache.direct_mapped import _check_geometry
+from repro.cache.direct_mapped import DEFAULT_LINE_SIZE, _check_geometry
+from repro.cache.stats import CacheStats
 from repro.ccrp.clb import CLB
 from repro.ccrp.refill import RefillEngine
 from repro.errors import ConfigurationError
@@ -49,6 +53,50 @@ from repro.prefetch.predictor import StaticBTB
 
 #: Addresses :meth:`PrefetchingFetchUnit.fetch_stream` walks per slice.
 STREAM_SLICE = 1 << 16
+
+
+class DirectMappedCache:
+    """Stateful reference model of a direct-mapped cache.
+
+    Example::
+
+        cache = DirectMappedCache(cache_bytes=1024)
+        hit = cache.access(address)
+    """
+
+    def __init__(self, cache_bytes: int, line_size: int = DEFAULT_LINE_SIZE) -> None:
+        self.num_sets = _check_geometry(cache_bytes, line_size)
+        self.line_size = line_size
+        self._line_shift = line_size.bit_length() - 1
+        self._resident: list[int | None] = [None] * self.num_sets
+        self.accesses = 0
+        self.misses = 0
+        self.miss_lines: list[int] = []
+
+    def access(self, address: int) -> bool:
+        """Access one byte address; returns True on a hit."""
+        line = address >> self._line_shift
+        set_index = line % self.num_sets
+        self.accesses += 1
+        if self._resident[set_index] == line:
+            return True
+        self._resident[set_index] = line
+        self.misses += 1
+        self.miss_lines.append(line)
+        return False
+
+    def run(self, addresses) -> CacheStats:
+        """Access a whole trace and return the statistics."""
+        for address in addresses:
+            self.access(int(address))
+        return self.stats()
+
+    def stats(self) -> CacheStats:
+        return CacheStats(
+            accesses=self.accesses,
+            misses=self.misses,
+            miss_lines=np.array(self.miss_lines, dtype=np.int64),
+        )
 
 
 class FetchUnit:

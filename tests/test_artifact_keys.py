@@ -166,6 +166,8 @@ def _study_keys() -> dict[str, set[str]]:
                 "prefetch-replay",
             },
         ),
+        # The service reaches the study through _job_simulate's import.
+        ("core/study.py", {"service-response"}),
     ],
 )
 def test_an_edit_changes_exactly_the_keys_of_the_code_it_reaches(

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.cache import DirectMappedCache, simulate_trace
+from repro.cache import simulate_trace
 from repro.cache.datacache import DATA_MISS_CYCLES, DataCacheModel
 from repro.cache.stats import CacheStats
+
+from fetch_oracle import DirectMappedCache
 
 
 class TestReferenceCache:

@@ -69,3 +69,22 @@ def test_every_module_is_reached_from_an_entry_point():
         if path.name != "__init__.py"
     }
     assert sorted(modules - reached) == []
+
+
+def test_the_paper_run_and_the_service_do_not_load_the_sweeps():
+    # The pool helpers live in repro.core.pool; repro.core.sweep serves
+    # ccrp-sweep only.
+    code = (
+        "import sys, repro.experiments.runner, repro.tools.serve, "
+        "repro.service.server; "
+        "print('repro.core.sweep' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -15,7 +15,7 @@ Covered contracts:
 * graceful shutdown — in-flight work completes and its response is
   delivered, while new connections are refused;
 * worker crash — an injected worker death errors *that* request with a
-  :class:`~repro.core.sweep.FailureReport`-style attribution, the pool
+  :class:`~repro.core.pool.FailureReport`-style attribution, the pool
   restarts, and the next request succeeds.
 """
 

@@ -1,41 +1,24 @@
-"""Sharded sweeps, single-flight parallel builds, and shard-file merging.
+"""Parallel sweeps: single-flight builds, worker counts and recovery.
 
-Two guarantees from the parallel-harness rework are pinned here:
-
-* ``merge_shards()`` over *any* partition of a sweep is byte-identical
-  (reports **and** failures) to the unsharded run — including when grid
-  points fail deterministically inside workers.
 * A cold-cache parallel sweep builds each study artifact exactly once
   (the ``artifacts.build`` counter equals the number of ``.pkl`` files
   on disk), i.e. the thundering-herd duplicate simulation is gone.
+* A parallel sweep returns the serial run's reports *and* failures, in
+  the same order.
+* A whole-workload task whose worker died is re-run in the parent with
+  its true attempt count.
 """
 
 from __future__ import annotations
 
-import importlib
 import json
-import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-# ``repro.core`` re-exports the sweep *function*, which shadows the
-# submodule attribute — resolve the module itself for monkeypatching.
-sweep_module = importlib.import_module("repro.core.sweep")
-from repro.core import artifacts
+from repro.core import artifacts, pool, sweep as sweep_module
 from repro.core.metrics import METRICS
-from repro.core.sweep import (
-    FailureReport,
-    SweepResult,
-    effective_jobs,
-    merge_shard_files,
-    merge_shards,
-    shard_span,
-    sweep,
-    sweep_many,
-    write_shard_file,
-)
-from repro.errors import ConfigurationError
+from repro.core.pool import effective_jobs
+from repro.core.sweep import SweepResult, sweep, sweep_many
 
 #: A small but non-trivial grid: 2 cache sizes x 2 memories = 4 points.
 AXES = dict(cache_sizes=(256, 512), memories=("eprom", "burst_eprom"))
@@ -53,103 +36,17 @@ def _force_pool(monkeypatch, cpus: int = 2) -> None:
     collapse every ``jobs=N`` request to a serial run and leave the
     pool code paths untested.
     """
-    monkeypatch.setattr(sweep_module, "available_cpus", lambda: cpus)
+    monkeypatch.setattr(pool, "available_cpus", lambda: cpus)
 
 
 # ----------------------------------------------------------------------
-# shard_span arithmetic
-# ----------------------------------------------------------------------
-
-
-class TestShardSpan:
-    @given(
-        total=st.integers(min_value=0, max_value=200),
-        count=st.integers(min_value=1, max_value=12),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_partition_is_exact_and_balanced(self, total, count):
-        spans = [shard_span(total, (index, count)) for index in range(count)]
-        # Contiguous cover of range(total), in order, no gaps or overlap.
-        assert spans[0][0] == 0
-        assert spans[-1][1] == total
-        for (_, stop), (start, _) in zip(spans, spans[1:]):
-            assert stop == start
-        sizes = [stop - start for start, stop in spans]
-        assert sum(sizes) == total
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_rejects_bad_shards(self):
-        with pytest.raises(ConfigurationError):
-            shard_span(10, (0, 0))
-        with pytest.raises(ConfigurationError):
-            shard_span(10, (3, 3))
-        with pytest.raises(ConfigurationError):
-            shard_span(10, (-1, 3))
-        with pytest.raises(ConfigurationError):
-            shard_span(10, "0/3")
-
-
-# ----------------------------------------------------------------------
-# Partition identity: merge of shards == unsharded run, byte for byte
+# Parallel sweeps return the serial run's reports and failures
 # ----------------------------------------------------------------------
 
 
 class TestShardPartitionIdentity:
-    @pytest.fixture(scope="class")
-    def unsharded(self):
-        return sweep("eightq", **AXES)
-
-    @pytest.fixture(scope="class")
-    def unsharded_failing(self):
-        return sweep("eightq", **FAILING_AXES)
-
-    @given(count=st.integers(min_value=1, max_value=6))
-    @settings(max_examples=12, deadline=None)
-    def test_clean_sweep_merges_byte_identical(self, count, unsharded):
-        shards = [sweep("eightq", shard=(i, count), **AXES) for i in range(count)]
-        merged = merge_shards(shards)
-        assert merged == unsharded
-        assert pickle.dumps(merged) == pickle.dumps(unsharded)
-
-    @given(count=st.integers(min_value=1, max_value=6))
-    @settings(max_examples=12, deadline=None)
-    def test_failing_grid_points_merge_byte_identical(
-        self, count, unsharded_failing
-    ):
-        # Half the grid fails (unknown memory, raised lazily inside the
-        # sweep) — the failures must land in the same order, with the
-        # same attempt counts and tracebacks, as the unsharded run.
-        assert len(unsharded_failing.failures) == 2
-        shards = [
-            sweep("eightq", shard=(i, count), **FAILING_AXES) for i in range(count)
-        ]
-        merged = merge_shards(shards)
-        assert merged.failures == unsharded_failing.failures
-        assert pickle.dumps(merged) == pickle.dumps(unsharded_failing)
-
-    def test_sweep_many_shards_across_workloads(self):
-        axes = dict(cache_sizes=(256, 512), memories=("eprom",))
-        unsharded = sweep_many(("eightq", "lloop01"), **axes)
-        # 3 shards over 2 workloads x 2 grid points: shard boundaries
-        # intentionally do not line up with workload boundaries.
-        shards = [
-            sweep_many(("eightq", "lloop01"), shard=(i, 3), **axes)
-            for i in range(3)
-        ]
-        assert sum(len(shard) for shard in shards) == len(unsharded)
-        merged = merge_shards(shards)
-        assert merged == unsharded
-        assert pickle.dumps(merged) == pickle.dumps(unsharded)
-
-    def test_sweep_many_shard_can_be_empty(self):
-        axes = dict(cache_sizes=(256,), memories=("eprom",))
-        # 2 tasks over 3 shards: the middle slice is empty but valid.
-        sizes = [
-            len(sweep_many(("eightq", "lloop01"), shard=(i, 3), **axes))
-            for i in range(3)
-        ]
-        assert sum(sizes) == 2
-        assert 0 in sizes
+    """Striping the grid across workers leaves reports and failures as the
+    serial run has them."""
 
     def test_parallel_run_matches_serial_including_failures(self, monkeypatch):
         _force_pool(monkeypatch)
@@ -165,90 +62,6 @@ class TestShardPartitionIdentity:
         failure = result.failures[0]
         assert failure.detail == "study build (4 grid points)"
         assert failure.attempts == 1
-
-
-# ----------------------------------------------------------------------
-# Shard files: round trip + validation
-# ----------------------------------------------------------------------
-
-
-def _spec(**overrides) -> dict:
-    spec = {"workloads": ["eightq"], "axes": dict(AXES)}
-    spec.update(overrides)
-    return spec
-
-
-class TestShardFiles:
-    def test_round_trip_merges_in_any_order(self, tmp_path):
-        unsharded = sweep("eightq", **AXES)
-        paths = []
-        for index in range(3):
-            result = sweep("eightq", shard=(index, 3), **AXES)
-            paths.append(
-                write_shard_file(
-                    tmp_path / f"s{index}.pkl", result, (index, 3), _spec()
-                )
-            )
-        merged = merge_shard_files([paths[2], paths[0], paths[1]])
-        assert merged == unsharded
-        # Byte-identity across a *file* round trip is asserted on the
-        # deterministic JSON export (what ``cmp`` checks in CI); raw
-        # pickles legitimately differ in object-sharing layout.
-        from repro.tools.sweep import result_payload
-
-        assert json.dumps(result_payload(merged), sort_keys=True) == json.dumps(
-            result_payload(unsharded), sort_keys=True
-        )
-
-    def test_missing_file_is_a_configuration_error(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="not found"):
-            merge_shard_files([tmp_path / "nope.pkl"])
-
-    def test_garbage_file_is_a_configuration_error(self, tmp_path):
-        path = tmp_path / "garbage.pkl"
-        path.write_bytes(b"not a pickle")
-        with pytest.raises(ConfigurationError, match="unreadable"):
-            merge_shard_files([path])
-
-    def test_wrong_schema_is_rejected(self, tmp_path):
-        path = tmp_path / "wrong.pkl"
-        path.write_bytes(pickle.dumps({"schema": "something-else/9"}))
-        with pytest.raises(ConfigurationError, match="shard file"):
-            merge_shard_files([path])
-
-    def test_incomplete_partition_is_rejected(self, tmp_path):
-        empty = SweepResult(reports=())
-        a = write_shard_file(tmp_path / "a.pkl", empty, (0, 3), _spec())
-        b = write_shard_file(tmp_path / "b.pkl", empty, (2, 3), _spec())
-        with pytest.raises(ConfigurationError, match="incomplete"):
-            merge_shard_files([a, b])
-
-    def test_duplicate_indices_are_rejected(self, tmp_path):
-        empty = SweepResult(reports=())
-        a = write_shard_file(tmp_path / "a.pkl", empty, (0, 2), _spec())
-        b = write_shard_file(tmp_path / "b.pkl", empty, (0, 2), _spec())
-        with pytest.raises(ConfigurationError, match="incomplete"):
-            merge_shard_files([a, b])
-
-    def test_mismatched_spec_is_rejected(self, tmp_path):
-        empty = SweepResult(reports=())
-        a = write_shard_file(tmp_path / "a.pkl", empty, (0, 2), _spec())
-        b = write_shard_file(
-            tmp_path / "b.pkl", empty, (1, 2), _spec(workloads=["lloop01"])
-        )
-        with pytest.raises(ConfigurationError, match="different sweep"):
-            merge_shard_files([a, b])
-
-    def test_mismatched_counts_are_rejected(self, tmp_path):
-        empty = SweepResult(reports=())
-        a = write_shard_file(tmp_path / "a.pkl", empty, (0, 2), _spec())
-        b = write_shard_file(tmp_path / "b.pkl", empty, (1, 3), _spec())
-        with pytest.raises(ConfigurationError, match="shard count"):
-            merge_shard_files([a, b])
-
-    def test_no_files_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="no shard files"):
-            merge_shard_files([])
 
 
 # ----------------------------------------------------------------------
@@ -325,18 +138,18 @@ class TestSingleFlightBuilds:
 class TestEffectiveJobs:
     def test_prefers_scheduler_affinity_over_cpu_count(self, monkeypatch):
         monkeypatch.setattr(
-            sweep_module.os, "sched_getaffinity", lambda pid: {0}, raising=False
+            pool.os, "sched_getaffinity", lambda pid: {0}, raising=False
         )
-        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 64)
-        assert sweep_module.available_cpus() == 1
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 64)
+        assert pool.available_cpus() == 1
         assert effective_jobs(8, 100) == 1
 
     def test_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(
-            sweep_module.os, "sched_getaffinity", raising=False
+            pool.os, "sched_getaffinity", raising=False
         )
-        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 3)
-        assert sweep_module.available_cpus() == 3
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 3)
+        assert pool.available_cpus() == 3
         assert effective_jobs(8, 100) == 3
 
     def test_clamps_to_tasks_and_request(self, monkeypatch):
@@ -433,7 +246,7 @@ class TestRecoverWorkload:
 
 
 # ----------------------------------------------------------------------
-# ccrp-sweep CLI: shard round trip is byte-identical, merge validation
+# ccrp-sweep CLI: parallel export is byte-identical, usage errors exit 2
 # ----------------------------------------------------------------------
 
 
@@ -450,42 +263,20 @@ class TestSweepCLI:
 
         return main(argv)
 
-    def test_shard_merge_byte_identical_to_serial(self, tmp_path, capsys):
+    def test_parallel_json_byte_identical_to_serial(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        _force_pool(monkeypatch)
         serial_json = tmp_path / "serial.json"
+        parallel_json = tmp_path / "parallel.json"
         assert self._main(self.BASE + ["--json", str(serial_json)]) == 0
-        shard_paths = []
-        for index in range(3):
-            path = tmp_path / f"shard{index}.pkl"
-            assert (
-                self._main(
-                    self.BASE
-                    + ["--shard", f"{index}/3", "--emit-shard", str(path)]
-                )
-                == 0
-            )
-            shard_paths.append(path)
-        merged_json = tmp_path / "merged.json"
-        # Scrambled order: the merge sorts shards by index.
-        merge_argv = [
-            "--merge",
-            str(shard_paths[2]),
-            str(shard_paths[0]),
-            str(shard_paths[1]),
-            "--json",
-            str(merged_json),
-        ]
-        assert self._main(merge_argv) == 0
-        assert merged_json.read_bytes() == serial_json.read_bytes()
-        payload = json.loads(merged_json.read_text())
+        argv = self.BASE + ["--jobs", "2", "--json", str(parallel_json)]
+        assert self._main(argv) == 0
+        assert parallel_json.read_bytes() == serial_json.read_bytes()
+        payload = json.loads(serial_json.read_text())
         assert payload["schema"] == "ccrp-sweep/1"
         assert len(payload["reports"]) == 4
         assert payload["failures"] == []
-
-    def test_emit_shard_defaults_to_whole_sweep(self, tmp_path, capsys):
-        path = tmp_path / "whole.pkl"
-        assert self._main(self.BASE + ["--emit-shard", str(path)]) == 0
-        merged = merge_shard_files([path])
-        assert len(merged) == 4
 
     def test_failures_exit_nonzero_but_write_results(self, tmp_path, capsys):
         out = tmp_path / "partial.json"
@@ -501,22 +292,14 @@ class TestSweepCLI:
         assert len(payload["failures"]) == 1
         assert payload["failures"][0]["error_type"] == "ConfigurationError"
 
-    def test_merge_of_wrong_specs_exits_2(self, tmp_path, capsys):
-        empty = SweepResult(reports=())
-        a = write_shard_file(tmp_path / "a.pkl", empty, (0, 2), _spec())
-        b = write_shard_file(
-            tmp_path / "b.pkl", empty, (1, 2), _spec(workloads=["other"])
-        )
-        assert self._main(["--merge", str(a), str(b)]) == 2
-
     @pytest.mark.parametrize(
         "argv",
         [
-            ["eightq", "--merge", "x.pkl"],  # merge + workloads
-            [],  # neither
+            ["--jobs", "2"],  # options but no workload
+            [],  # no workload
             ["eightq", "--jobs", "0"],
             ["eightq", "--retries", "-1"],
-            ["eightq", "--shard", "3"],  # not I/N
+            ["eightq", "--cache-sizes", "big"],  # not an integer
         ],
     )
     def test_usage_errors_exit_2(self, argv, capsys):
