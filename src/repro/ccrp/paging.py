@@ -97,7 +97,7 @@ class CompressedPageStore:
         page = self.pages[index]
         if not page.is_compressed:
             return page.stored
-        return self.code.decode(page.stored, self.page_bytes)
+        return self.code.decode_fast(page.stored, self.page_bytes)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ compress is stored verbatim), producing the per-line blocks the LAT
 indexes.
 """
 
-from repro.compression.bitstream import BitReader, BitWriter
+from repro.compression.bitstream import BitWriter
 from repro.compression.block import BlockCompressor, CompressedBlock
 from repro.compression.histogram import byte_histogram, merge_histograms
 from repro.compression.huffman import HuffmanCode
@@ -23,7 +23,6 @@ from repro.compression.multicode import MultiCodeCompressor, train_code_set
 from repro.compression.preselected import build_preselected_code
 
 __all__ = [
-    "BitReader",
     "BitWriter",
     "BlockCompressor",
     "CompressedBlock",

@@ -1,8 +1,8 @@
-"""MSB-first bit stream I/O.
+"""MSB-first bit stream output.
 
 The CCRP's refill-engine decoder consumes the compressed stream most
-significant bit first, one symbol at a time; these helpers are the software
-equivalent used by every Huffman codec in the package.
+significant bit first, one symbol at a time; :class:`BitWriter` lays code
+words out in that order for the scalar Huffman encoder.
 """
 
 from __future__ import annotations
@@ -43,37 +43,3 @@ class BitWriter:
         tail = (self._accumulator << (8 - self._filled)) & 0xFF
         return bytes(self._chunks) + bytes([tail])
 
-
-class BitReader:
-    """Reads bits MSB-first from a byte string."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._position = 0  # bit cursor
-
-    @property
-    def position(self) -> int:
-        """Current bit offset from the start of the stream."""
-        return self._position
-
-    @property
-    def remaining(self) -> int:
-        """Bits left before the end of the underlying bytes."""
-        return len(self._data) * 8 - self._position
-
-    def read_bit(self) -> int:
-        if self._position >= len(self._data) * 8:
-            raise CompressionError("bit stream exhausted")
-        byte = self._data[self._position >> 3]
-        bit = (byte >> (7 - (self._position & 7))) & 1
-        self._position += 1
-        return bit
-
-    def read(self, count: int) -> int:
-        """Read ``count`` bits as one unsigned integer."""
-        if count < 0:
-            raise CompressionError(f"cannot read {count} bits")
-        value = 0
-        for _ in range(count):
-            value = (value << 1) | self.read_bit()
-        return value

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CompressionError
-from repro.compression.bitstream import BitReader, BitWriter
+from repro.compression.bitstream import BitWriter
 
 #: Number of symbols: the codecs operate on program bytes.
 ALPHABET = 256
@@ -335,36 +335,6 @@ class HuffmanCode:
             if not key.endswith("_cache")
         }
 
-    def decode(self, blob: bytes, symbol_count: int) -> bytes:
-        """Decode ``symbol_count`` symbols from ``blob``."""
-        reader = BitReader(blob)
-        decoded = bytearray()
-        table = self._decode_table()
-        for _ in range(symbol_count):
-            code = 0
-            length = 0
-            while True:
-                code = (code << 1) | reader.read_bit()
-                length += 1
-                symbol = table.get((length, code))
-                if symbol is not None:
-                    decoded.append(symbol)
-                    break
-                if length > self.max_length:
-                    raise CompressionError("invalid code word in stream")
-        return bytes(decoded)
-
-    def _decode_table(self) -> dict[tuple[int, int], int]:
-        table = getattr(self, "_table_cache", None)
-        if table is None:
-            table = {
-                (self.lengths[symbol], self.codes[symbol]): symbol
-                for symbol in range(ALPHABET)
-                if self.lengths[symbol] > 0
-            }
-            object.__setattr__(self, "_table_cache", table)
-        return table
-
     # ------------------------------------------------------------------
     # Table-driven decoding (the "64K mapping ROM" of paper Section 3.4)
     # ------------------------------------------------------------------
@@ -378,8 +348,9 @@ class HuffmanCode:
         entry mapping ROM"; this is that idea in software: one table
         indexed by the next ``_FAST_BITS`` bits resolves every short code
         in a single lookup, and the rare longer codes fall back to a
-        per-word dictionary.  Produces byte-identical output to
-        :meth:`decode` (property-tested) at several times the speed.
+        per-word dictionary.  Produces byte-identical output to the
+        bit-at-a-time reference decoder of the tests (property-tested)
+        at several times the speed.
         """
         fast_bits = self._FAST_BITS
         fast_symbols, fast_lengths, long_table = self._fast_tables()

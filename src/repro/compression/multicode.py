@@ -119,7 +119,7 @@ class MultiCodeCompressor:
     def decompress_block(self, block: MultiCodeBlock) -> bytes:
         if block.code_index is None:
             return block.data
-        return self.codes[block.code_index].decode(block.data, self.line_size)
+        return self.codes[block.code_index].decode_fast(block.data, self.line_size)
 
     # ------------------------------------------------------------------
     # Accounting

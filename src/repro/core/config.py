@@ -12,8 +12,6 @@ from repro.compression.block import BYTE_ALIGNED, WORD_ALIGNED
 #: The selectable timing backends (see ``docs/modeling_notes.md``).
 TIMING_BACKENDS = ("additive", "pipeline")
 
-_default_timing = "additive"
-
 
 def validate_timing(name: str) -> str:
     """Check a timing-backend name, raising :class:`ConfigurationError`."""
@@ -22,22 +20,6 @@ def validate_timing(name: str) -> str:
             f"unknown timing backend {name!r}; choose from {TIMING_BACKENDS}"
         )
     return name
-
-
-def set_default_timing(name: str) -> None:
-    """Set the backend new :class:`SystemConfig` objects default to.
-
-    The experiment runner's ``--timing`` flag routes through this so
-    every experiment — which each build their own configs — switches
-    backend without threading a parameter through all of them.
-    """
-    global _default_timing
-    _default_timing = validate_timing(name)
-
-
-def default_timing() -> str:
-    """The process-wide default timing backend."""
-    return _default_timing
 
 
 @dataclass(frozen=True)
@@ -61,8 +43,7 @@ class SystemConfig:
         block_alignment: Compressed-block alignment (1 = byte, 4 = word).
         timing: Timing backend — ``"additive"`` (the paper's folded-in
             pixie stalls) or ``"pipeline"`` (the cycle-accurate 5-stage
-            model of :mod:`repro.pipeline`).  Defaults to the
-            process-wide setting (:func:`set_default_timing`).
+            model of :mod:`repro.pipeline`).
         critical_word_first: Resume the pipeline on critical-word
             arrival during refills (modelled extension; requires the
             pipeline backend).
@@ -89,7 +70,7 @@ class SystemConfig:
     decoder: DecoderModel = field(default_factory=DecoderModel)
     data_cache: DataCacheModel = field(default_factory=DataCacheModel)
     block_alignment: int = BYTE_ALIGNED
-    timing: str = field(default_factory=default_timing)
+    timing: str = "additive"
     critical_word_first: bool = False
     integrity: str = "off"
     fetch_policy: str = "demand"

@@ -13,11 +13,8 @@ with the workload and grid coordinates), and every other point's report
 survives.  Pass ``strict=True`` to restore fail-fast: the first
 unrecoverable task re-raises, annotated with the failing workload.
 
-``jobs=N`` fans grid points (or whole workloads, in :func:`sweep_many`)
-across a process pool.  The parent builds the study *once* before
-spawning — the single-flight pre-warm — so cold workers inherit it
-(``fork`` start method) or load it from the disk artifact cache instead
-of N workers re-simulating the same study.
+``jobs=N`` in :func:`sweep_many` fans whole workloads across a process
+pool; each workload's grid points run in one process, on one study.
 """
 
 from __future__ import annotations
@@ -174,66 +171,6 @@ def _grid(
 
 
 # ----------------------------------------------------------------------
-# Worker entry point and retries
-# ----------------------------------------------------------------------
-
-
-def _metrics_chunk(workload: str, configs: Sequence[SystemConfig]) -> tuple:
-    """Worker entry point: study via the shared caches, then the chunk.
-
-    The parent pre-warmed the study before spawning, so this either
-    inherits it outright (``fork``) or deserialises the pieces from the
-    disk artifact cache — never re-simulates.
-
-    Exceptions are captured *per grid point* — one bad configuration
-    never discards the rest of the chunk — and travel back as
-    ``("err", type, message, traceback)`` tuples (tracebacks do not
-    pickle) for the parent to retry or report.  Returns
-    ``(outcomes, metrics_snapshot)`` so the parent can merge this
-    chunk's cache counters into its own registry.
-    """
-    METRICS.reset()
-    study = artifacts.get_study(workload)
-    outcomes: list[tuple] = []
-    for config in configs:
-        try:
-            outcomes.append(("ok", study.metrics(config)))
-        except Exception as error:
-            outcomes.append(
-                ("err", type(error).__name__, str(error), traceback.format_exc())
-            )
-    return outcomes, METRICS.snapshot()
-
-
-def _retry_config(
-    workload: str | Workload,
-    config: SystemConfig,
-    study: ProgramStudy | None,
-    retries: int,
-) -> tuple[ComparisonReport | None, BaseException | None, int]:
-    """Re-attempt one failed grid point up to ``retries`` times.
-
-    Returns ``(report, last_error, extra_attempts)``; the retry runs in
-    the calling process so a crashed or wedged worker cannot take the
-    retry down with it.
-    """
-    last_error: BaseException | None = None
-    for attempt in range(retries):
-        METRICS.count("sweep.retries")
-        try:
-            if study is None:
-                study = (
-                    artifacts.get_study(workload)
-                    if isinstance(workload, str)
-                    else ProgramStudy(workload)
-                )
-            return study.metrics(config), None, attempt + 1
-        except Exception as error:
-            last_error = error
-    return None, last_error, retries
-
-
-# ----------------------------------------------------------------------
 # The sweeps
 # ----------------------------------------------------------------------
 
@@ -246,7 +183,6 @@ def sweep(
     data_miss_rates: Sequence[float] = DEFAULT_DATA_MISS_RATES,
     decoder: DecoderModel | None = None,
     study: ProgramStudy | None = None,
-    jobs: int | None = None,
     strict: bool = False,
     retries: int = DEFAULT_RETRIES,
 ) -> SweepResult:
@@ -260,11 +196,6 @@ def sweep(
         data_miss_rates: Data-cache miss rates for the analytic model.
         decoder: Decoder model override (defaults to the paper's).
         study: Reuse an existing study (e.g. with a custom code).
-        jobs: Fan grid points across this many worker processes.  Only
-            suite workloads named by string parallelise (an explicit
-            ``study`` cannot cross a process boundary); report order is
-            identical to the serial run.  The parent builds the study
-            once *before* spawning, so cold workers never duplicate it.
         strict: Re-raise the first unrecoverable task error (annotated
             with the workload name) instead of recording a
             :class:`FailureReport` and returning partial results.
@@ -273,14 +204,9 @@ def sweep(
     decoder = decoder or DecoderModel()
     configs = _grid(cache_sizes, memories, clb_entries, data_miss_rates, decoder)
     workload_name = workload if isinstance(workload, str) else workload.name
-    failures: list[tuple[int, FailureReport]] = []
-    reports: list[ComparisonReport | None] = [None] * len(configs)
+    failures: list[FailureReport] = []
+    reports: list[ComparisonReport] = []
 
-    # --- single-flight study build ------------------------------------
-    # Build (or load) the study once in the parent before any worker
-    # exists.  Forked workers inherit it copy-on-write; other start
-    # methods find the pieces in the disk artifact cache.  This is what
-    # keeps a cold parallel sweep from simulating the trace N times.
     local_study = study
     build_error: BaseException | None = None
     if local_study is None:
@@ -312,94 +238,31 @@ def sweep(
             ),
         )
 
-    def _settle(position: int, config: SystemConfig, error_type: str, message: str, tb: str) -> None:
-        """Retry one failed grid point, then report or raise."""
-        report, retry_error, extra = _retry_config(
-            workload, config, local_study, retries
-        )
-        if report is not None:
-            reports[position] = report
-            return
-        if retry_error is not None:
-            error_type = type(retry_error).__name__
-            message = str(retry_error)
-            tb = "".join(
-                traceback.format_exception(
-                    type(retry_error), retry_error, retry_error.__traceback__
-                )
-            )
-        context = f"workload {workload_name!r} at {_config_detail(config)}"
-        if strict:
-            source = retry_error if retry_error is not None else ReproError(message)
-            raise _annotate(source, context) from retry_error
-        METRICS.count("sweep.failures")
-        failures.append(
-            (
-                position,
+    for config in configs:
+        for attempt in range(1 + max(retries, 0)):
+            if attempt:
+                METRICS.count("sweep.retries")
+            try:
+                reports.append(local_study.metrics(config))
+                break
+            except Exception as caught:
+                error, tb = caught, traceback.format_exc()
+        else:
+            detail = _config_detail(config)
+            if strict:
+                raise _annotate(error, f"workload {workload_name!r} at {detail}") from error
+            METRICS.count("sweep.failures")
+            failures.append(
                 FailureReport(
                     workload=workload_name,
-                    detail=_config_detail(config),
-                    error_type=error_type,
-                    message=message,
-                    attempts=1 + extra,
+                    detail=detail,
+                    error_type=type(error).__name__,
+                    message=str(error),
+                    attempts=attempt + 1,
                     traceback=tb,
-                ),
-            )
-        )
-
-    workers = (
-        effective_jobs(jobs, len(configs))
-        if study is None and isinstance(workload, str)
-        else 1
-    )
-    if jobs is not None:
-        METRICS.gauge("sweep.workers", workers)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [configs[index::workers] for index in range(workers)]
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=pool_context()
-        ) as pool:
-            futures = [pool.submit(_metrics_chunk, workload, chunk) for chunk in chunks]
-            for stripe, future in enumerate(futures):
-                try:
-                    outcomes, worker_metrics = future.result()
-                    METRICS.merge(worker_metrics)
-                except Exception as error:
-                    # The whole chunk died (worker crash, pool breakage,
-                    # unpicklable result...).  Completed chunks are kept;
-                    # this one's grid points are re-attempted in-process.
-                    outcomes = [
-                        ("err", type(error).__name__, str(error), "")
-                        for _ in chunks[stripe]
-                    ]
-                for offset, outcome in enumerate(outcomes):
-                    position = stripe + offset * workers
-                    if outcome[0] == "ok":
-                        reports[position] = outcome[1]
-                    else:
-                        _settle(position, configs[position], *outcome[1:])
-    else:
-        for position, config in enumerate(configs):
-            try:
-                reports[position] = local_study.metrics(config)
-            except Exception as error:
-                _settle(
-                    position,
-                    config,
-                    type(error).__name__,
-                    str(error),
-                    traceback.format_exc(),
                 )
-    # Failures surface in task order regardless of which worker (or
-    # stripe) hit them, so serial and parallel runs produce identical
-    # SweepResults.
-    failures.sort(key=lambda entry: entry[0])
-    return SweepResult(
-        reports=tuple(report for report in reports if report is not None),
-        failures=tuple(report for _, report in failures),
-    )
+            )
+    return SweepResult(reports=tuple(reports), failures=tuple(failures))
 
 
 def _sweep_one(workload: str, axes: dict) -> tuple[tuple[ComparisonReport, ...], tuple[FailureReport, ...]]:

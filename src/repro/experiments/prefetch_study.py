@@ -20,16 +20,10 @@ Every number comes from the vectorized timeline replay
 (``tests/test_prefetch.py``) checks that replay, every counter, against
 a per-access walk of the full trace for every (workload, policy) cell
 on ``sc_dram``.
-
-``python -m repro.experiments.prefetch_study --smoke`` is the CI gate:
-full traces of loop-heavy kernels, and it fails unless the prefetching
-policies strictly reduce fetch stalls.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass
 
 from repro.core.artifacts import get_study
@@ -44,9 +38,6 @@ MEMORY_NAMES = ("eprom", "burst_eprom", "sc_dram")
 #: Workload for the CLB / depth sweeps: large enough that its miss
 #: stream exercises the CLB, sequential enough that prefetching matters.
 SWEEP_PROGRAM = "nasa7"
-
-#: Loop-heavy kernels the smoke gate requires strict improvement on.
-SMOKE_PROGRAMS = ("lloop01", "nasa7")
 
 
 @dataclass(frozen=True)
@@ -250,50 +241,3 @@ def run_prefetch_study(
         sweep_program=sweep_program,
     )
 
-
-def run_smoke() -> PrefetchStudyResult:
-    """CI gate: full traces of loop-heavy kernels, strict assertions.
-
-    Fails (``SystemExit``) unless every prefetching policy strictly
-    reduces fetch stalls on every smoke cell with a nonzero demand bill.
-    """
-    result = run_prefetch_study(
-        programs=SMOKE_PROGRAMS,
-        cache_bytes=256,
-        clb_sizes=(4, 16),
-        depths=(2, 4),
-    )
-    demand = {
-        (row.program, row.memory): row.fetch_stalls
-        for row in result.rows
-        if row.policy == "demand"
-    }
-    for row in result.rows:
-        if row.policy == "demand":
-            continue
-        baseline = demand[(row.program, row.memory)]
-        if baseline and row.fetch_stalls >= baseline:
-            raise SystemExit(
-                f"prefetch smoke: {row.policy} did not reduce fetch stalls on "
-                f"{row.program}@{row.memory} ({row.fetch_stalls} >= {baseline})"
-            )
-    return result
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fast CI gate: loop-heavy kernels, strict reduction assertions",
-    )
-    args = parser.parse_args(argv)
-    result = run_smoke() if args.smoke else run_prefetch_study()
-    print(result.render())
-    if args.smoke:
-        print("\n[prefetch smoke passed: strict reductions]")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -70,26 +70,19 @@ class ExperimentOutcome:
 
 
 def _run_single(
-    name: str,
-    use_cache: bool = True,
-    isolate_metrics: bool = False,
-    timing: str = "additive",
+    name: str, use_cache: bool = True, isolate_metrics: bool = False
 ) -> ExperimentOutcome:
     """Run one experiment and package its result for printing/export.
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it.  Workers
     pass ``isolate_metrics=True``: the registry is reset before the run
     and its snapshot travels back for the parent to merge, so pooled
-    workers that run several experiments never double-report.  The
-    ``timing`` backend travels the same way: workers are fresh
-    processes, so the parent's default must be re-applied in each.
+    workers that run several experiments never double-report.
     """
     from repro.core import artifacts
-    from repro.core.config import set_default_timing
     from repro.core.metrics import METRICS
     from repro.experiments.export import result_to_dict
 
-    set_default_timing(timing)
     if not use_cache:
         artifacts.set_cache_enabled(False)
     if isolate_metrics:
@@ -155,21 +148,9 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="bypass the on-disk artifact cache for this run",
     )
-    parser.add_argument(
-        "--timing",
-        choices=("additive", "pipeline"),
-        default="additive",
-        help="timing backend every experiment's configs default to: the "
-        "paper's additive stall model or the cycle-accurate 5-stage "
-        "pipeline (see docs/modeling_notes.md)",
-    )
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
-
-    from repro.core.config import set_default_timing
-
-    set_default_timing(args.timing)
 
     names = list(registry) if "all" in args.experiments else _dedupe(args.experiments)
     # Clamp to the CPU count and the task count: asking for more workers
@@ -204,7 +185,6 @@ def main(argv: list[str] | None = None) -> int:
                         name,
                         use_cache=not args.no_cache,
                         isolate_metrics=True,
-                        timing=args.timing,
                     )
                     for name in names
                 ]
@@ -215,9 +195,7 @@ def main(argv: list[str] | None = None) -> int:
                     _finish(outcome)
         else:
             for name in names:
-                outcome = _run_single(
-                    name, use_cache=not args.no_cache, timing=args.timing
-                )
+                outcome = _run_single(name, use_cache=not args.no_cache)
                 outcomes.append(outcome)
                 _finish(outcome)
 
@@ -232,7 +210,6 @@ def main(argv: list[str] | None = None) -> int:
             extra={
                 "jobs": args.jobs,
                 "jobs_effective": jobs_effective,
-                "timing": args.timing,
                 "cache": cache_state,
                 "total_wall_seconds": time.perf_counter() - overall_started,
                 "experiments": {

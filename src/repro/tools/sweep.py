@@ -86,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="fan the workloads across N worker processes (clamped "
-        "to the CPUs actually available; the study is pre-built once)",
+        "to the CPUs actually available)",
     )
     parser.add_argument(
         "--retries", type=int, default=DEFAULT_RETRIES, metavar="N",

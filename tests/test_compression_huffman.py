@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CompressionError
-from repro.compression.bitstream import BitReader, BitWriter
+from repro.compression.bitstream import BitWriter
 from repro.compression.histogram import byte_histogram, corpus_histogram, merge_histograms
 from repro.compression import huffman
 from repro.compression.huffman import HuffmanCode
 from repro.compression.preselected import build_preselected_code
+
+from huffman_oracle import BitReader
+from huffman_oracle import decode as reference_decode
 
 
 class TestBitstream:
@@ -140,7 +143,7 @@ class TestTraditionalHuffman:
         code = HuffmanCode.from_frequencies(byte_histogram(data))
         blob, bits = code.encode(data)
         assert len(blob) == (bits + 7) // 8
-        assert code.decode(blob, len(data)) == data
+        assert reference_decode(code, blob, len(data)) == data
 
     def test_encoding_unknown_symbol_raises(self):
         frequencies = [0] * 256
@@ -212,7 +215,7 @@ class TestBoundedHuffman:
         data = bytes(random.Random(4).randbytes(2048))
         code = HuffmanCode.from_frequencies(byte_histogram(data), max_length=16)
         blob, _ = code.encode(data)
-        assert code.decode(blob, len(data)) == data
+        assert reference_decode(code, blob, len(data)) == data
 
     def test_impossible_bound_rejected(self):
         frequencies = [1] * 256
@@ -230,7 +233,7 @@ class TestBoundedHuffman:
         code = HuffmanCode.from_frequencies(byte_histogram(data), max_length=max_length)
         assert code.max_length <= max_length
         blob, bits = code.encode(data)
-        assert code.decode(blob, len(data)) == data
+        assert reference_decode(code, blob, len(data)) == data
         assert bits == code.encoded_bit_length(data)
 
 
@@ -243,7 +246,7 @@ class TestPreselectedCode:
     def test_encodes_bytes_outside_corpus(self):
         code = build_preselected_code([b"\x00" * 64])
         blob, _ = code.encode(b"\xde\xad\xbe\xef")
-        assert code.decode(blob, 4) == b"\xde\xad\xbe\xef"
+        assert reference_decode(code, blob, 4) == b"\xde\xad\xbe\xef"
 
     def test_common_corpus_bytes_get_short_codes(self):
         corpus = [b"\x00" * 1000 + bytes(range(256))]
@@ -303,11 +306,12 @@ class TestCanonicalCodes:
         code = HuffmanCode.from_frequencies(frequencies)
         # Any bit decodes, so ask for more symbols than the stream holds.
         with pytest.raises(CompressionError):
-            code.decode(b"", 1)
+            code.decode_fast(b"", 1)
 
 
 class TestFastDecoder:
-    """decode_fast must be byte-identical to the bit-by-bit decoder."""
+    """decode_fast must be byte-identical to the bit-by-bit reference decoder
+    of ``tests/huffman_oracle.py``."""
 
     def _random_code(self, seed: int, max_length: int | None = 16) -> HuffmanCode:
         data = bytes(random.Random(seed).randbytes(4096))
@@ -319,7 +323,8 @@ class TestFastDecoder:
         code = self._random_code(60)
         data = bytes(random.Random(61).randbytes(2000))
         blob, _ = code.encode(data)
-        assert code.decode_fast(blob, len(data)) == code.decode(blob, len(data)) == data
+        reference = reference_decode(code, blob, len(data))
+        assert code.decode_fast(blob, len(data)) == reference == data
 
     def test_handles_long_codes_past_fast_bits(self):
         # Fibonacci frequencies force codes longer than the 10-bit table.
@@ -365,7 +370,7 @@ class TestFastDecoder:
         with pytest.raises(CompressionError):
             code.decode_fast(blob[:1], 2)
         with pytest.raises(CompressionError):
-            code.decode(blob[:1], 2)
+            reference_decode(code, blob[:1], 2)
 
     def test_truncated_stream_matches_reference(self):
         code = self._random_code(63)
@@ -375,7 +380,7 @@ class TestFastDecoder:
         with pytest.raises(CompressionError):
             code.decode_fast(truncated, len(data))
         with pytest.raises(CompressionError):
-            code.decode(truncated, len(data))
+            reference_decode(code, truncated, len(data))
 
     def test_max_length_code_words_decode(self):
         # Exponential frequencies push the least-frequent symbols to the
@@ -390,7 +395,8 @@ class TestFastDecoder:
         assert maximal
         data = bytes(maximal) * 5 + bytes(range(32)) * 3 + bytes(maximal)
         blob, _ = code.encode(data)
-        assert code.decode_fast(blob, len(data)) == code.decode(blob, len(data)) == data
+        reference = reference_decode(code, blob, len(data))
+        assert code.decode_fast(blob, len(data)) == reference == data
 
     def test_bypass_blocks_skip_the_decoder_entirely(self):
         # Incompressible lines take the bypass path: stored verbatim with
@@ -409,7 +415,7 @@ class TestFastDecoder:
             line = (compressible + incompressible)[offset : offset + 32]
             if block.is_compressed:
                 assert code.decode_fast(block.data, len(line)) == line
-                assert code.decode(block.data, len(line)) == line
+                assert reference_decode(code, block.data, len(line)) == line
             else:
                 assert block.data == line
                 assert block.symbol_bits is None
@@ -425,7 +431,8 @@ class TestFastDecoderTableBoundary:
         code = HuffmanCode.from_lengths([length] * 256)
         data = bytes(range(256)) * 4
         blob, _ = code.encode(data)
-        assert code.decode_fast(blob, len(data)) == code.decode(blob, len(data)) == data
+        reference = reference_decode(code, blob, len(data))
+        assert code.decode_fast(blob, len(data)) == reference == data
 
     def test_code_straddling_fast_bits(self):
         # Half the symbols resolve in the probe table, half overflow to
@@ -433,7 +440,8 @@ class TestFastDecoderTableBoundary:
         code = HuffmanCode.from_lengths([9] * 128 + [11] * 128)
         data = bytes(random.Random(77).randbytes(3000))
         blob, _ = code.encode(data)
-        assert code.decode_fast(blob, len(data)) == code.decode(blob, len(data)) == data
+        reference = reference_decode(code, blob, len(data))
+        assert code.decode_fast(blob, len(data)) == reference == data
 
     @settings(max_examples=25, deadline=None)
     @given(st.binary(min_size=1, max_size=200), st.sampled_from([9, 10, 11]))

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CompressionError
-from repro.compression.bitstream import BitReader
 from repro.compression.block import (
     BYTE_ALIGNED,
     WORD_ALIGNED,
@@ -25,6 +24,8 @@ from repro.compression.lzw import (
     lzw_compressed_size,
     lzw_decompress,
 )
+
+from huffman_oracle import BitReader
 
 
 #: SHA-256 of ``lzw_compress(text, 16)`` and ``lzw_compress(text, 9)``

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +40,8 @@ from repro.faults.injector import FaultRecord
 import fault_oracle
 
 PROGRAM = bytes(range(256)) * 8  # 2 KiB, 64 lines, every byte value
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 def _codes():
@@ -727,6 +731,10 @@ class TestHarnessDegradation:
             sweep("no-such-program", strict=True, **self.AXES)
         assert "no-such-program" in str(excinfo.value)
 
+    def test_sweep_strict_grid_point_keeps_the_error_class(self):
+        with pytest.raises(ConfigurationError, match="workload 'eightq' at nosuch/512B"):
+            sweep("eightq", cache_sizes=(512,), memories=("nosuch",), strict=True, retries=0)
+
     def test_sweep_many_partial_results_serial(self):
         result = sweep_many(["eightq", "no-such-program"], **self.AXES)
         assert len(result.reports) == 1
@@ -765,17 +773,23 @@ class TestFaultStudyAndCLI:
         again = run_fault_study(programs=("eightq",), trials_per_case=2, seed=3)
         assert again == result
 
-    def test_cli_smoke(self, capsys):
-        from repro.tools.faults import main
+    def test_default_study_at_two_trials_has_no_violations(self):
+        # The default programs and seed at two trials per cell: every
+        # codec x fault-model cell, in under a second.
+        from repro.experiments.fault_study import run_fault_study
 
-        assert main(["--smoke", "--programs", "eightq"]) == 0
+        assert run_fault_study(trials_per_case=2).violations() == []
+
+    def test_cli_smoke(self, capsys):
+        from repro.experiments.runner import main
+
+        assert main(["fault-study"]) == 0
         out = capsys.readouterr().out
         assert "blast radius" in out and "Refill-path" in out
 
     def test_cli_output_file(self, tmp_path, capsys):
-        from repro.tools.faults import main
+        from repro.experiments.runner import main
 
-        target = tmp_path / "faults.txt"
-        assert main(["--trials", "1", "--programs", "eightq",
-                     "--output", str(target)]) == 0
-        assert "blast radius" in target.read_text()
+        assert main(["fault-study", "--output-dir", str(tmp_path)]) == 0
+        for name in ("fault-study.json", "fault-study.txt"):
+            assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes()

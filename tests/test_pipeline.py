@@ -20,12 +20,7 @@ from repro.cache.direct_mapped import simulate_trace
 from repro.ccrp import ProgramCompressor, RefillEngine
 from repro.compression.histogram import byte_histogram
 from repro.compression.huffman import HuffmanCode
-from repro.core.config import (
-    SystemConfig,
-    default_timing,
-    set_default_timing,
-    validate_timing,
-)
+from repro.core.config import SystemConfig, validate_timing
 from repro.errors import ConfigurationError, LATError
 from repro.isa import Assembler
 from repro.machine import Machine
@@ -415,20 +410,6 @@ class TestTimingConfig:
             SystemConfig(critical_word_first=True, timing="additive")
         config = SystemConfig(timing="pipeline", critical_word_first=True)
         assert config.critical_word_first
-
-    def test_default_timing_is_process_wide(self):
-        assert default_timing() == "additive"
-        try:
-            set_default_timing("pipeline")
-            assert SystemConfig().timing == "pipeline"
-        finally:
-            set_default_timing("additive")
-        assert SystemConfig().timing == "additive"
-
-    def test_set_default_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            set_default_timing("warp")
-        assert default_timing() == "additive"
 
 
 def test_study_pipeline_backend_reports_breakdown():

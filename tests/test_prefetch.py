@@ -11,6 +11,9 @@ per-access walk of ``tests/fetch_oracle.py``.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +36,8 @@ from repro.prefetch import (
 from repro.workloads.suite import SIMULATION_PROGRAMS
 
 from fetch_oracle import STREAM_SLICE, FetchUnit, PrefetchingFetchUnit
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 # ----------------------------------------------------------------------
 # Golden hand-computed prefetch timeline
@@ -357,6 +362,48 @@ def test_study_prefetch_replays_equal_the_full_trace_walk():
             )
             exact = unit.replay(unit.fetch_stream(study.execution.trace.addresses))
             assert study.prefetch_replay(config) == exact, (name, policy)
+
+
+def _rows_that_do_not_reduce_stalls(rows) -> list[dict]:
+    """The ``nextline``/``btb`` rows of a prefetch-study table whose fetch
+    stalls are not strictly below the demand row of the same program and
+    memory, where that demand row stalls at all."""
+    demand = {
+        (row["program"], row["memory"]): row["fetch_stalls"]
+        for row in rows
+        if row["policy"] == "demand"
+    }
+    return [
+        row
+        for row in rows
+        if row["policy"] != "demand"
+        and demand[(row["program"], row["memory"])]
+        and row["fetch_stalls"] >= demand[(row["program"], row["memory"])]
+    ]
+
+
+def test_prefetching_strictly_reduces_stalls_on_loop_kernels():
+    """Full traces of two loop-heavy kernels at a small cache: both
+    prefetching policies hide part of every nonzero demand bill."""
+    from dataclasses import asdict
+
+    from repro.experiments.prefetch_study import run_prefetch_study
+
+    result = run_prefetch_study(
+        programs=("lloop01", "nasa7"),
+        cache_bytes=256,
+        clb_sizes=(4, 16),
+        depths=(2, 4),
+    )
+    rows = [asdict(row) for row in result.rows]
+    assert len(rows) == 2 * 3 * len(FETCH_POLICIES)
+    assert _rows_that_do_not_reduce_stalls(rows) == []
+
+
+def test_committed_prefetch_study_rows_strictly_reduce_stalls():
+    rows = json.loads((RESULTS / "prefetch-study.json").read_text())["rows"]
+    assert len(rows) == len(SIMULATION_PROGRAMS) * 3 * len(FETCH_POLICIES)
+    assert _rows_that_do_not_reduce_stalls(rows) == []
 
 
 def test_fetch_replay_fields_are_python_ints():

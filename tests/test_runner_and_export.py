@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.export import export_result, result_to_dict
-from repro.experiments.runner import main
+from repro.experiments.runner import _registry, main
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 class TestExport:
@@ -95,6 +98,14 @@ class TestRunnerCLI:
         assert "dense-isa" in payload["experiments"]
         assert payload["experiments"]["dense-isa"]["elapsed_seconds"] > 0
         assert "experiment.dense-isa" in payload["stages"]
+
+    def test_results_holds_the_exports_of_every_experiment(self):
+        # CI compares every file of results/ with a cold and a warm
+        # ``all``; an experiment without committed exports would escape it.
+        expected = {
+            f"{name}.{suffix}" for name in _registry() for suffix in ("json", "txt")
+        }
+        assert {path.name for path in RESULTS.iterdir()} == expected
 
     def test_no_cache_flag(self, tmp_path, capsys, monkeypatch):
         from repro.core import artifacts

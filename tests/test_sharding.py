@@ -1,12 +1,14 @@
-"""Parallel sweeps: single-flight builds, worker counts and recovery.
+"""Parallel sweeps: the workload pool of ``sweep_many``, worker counts and
+recovery.
 
-* A cold-cache parallel sweep builds each study artifact exactly once
-  (the ``artifacts.build`` counter equals the number of ``.pkl`` files
-  on disk), i.e. the thundering-herd duplicate simulation is gone.
 * A parallel sweep returns the serial run's reports *and* failures, in
   the same order.
 * A whole-workload task whose worker died is re-run in the parent with
   its true attempt count.
+* ``ccrp-sweep --jobs`` exports the serial run's JSON byte for byte.
+
+Cross-process single-flight builds are pinned by
+``test_artifacts_and_metrics.py::test_concurrent_processes_build_once``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 
 import pytest
 
-from repro.core import artifacts, pool, sweep as sweep_module
+from repro.core import pool, sweep as sweep_module
 from repro.core.metrics import METRICS
 from repro.core.pool import effective_jobs
 from repro.core.sweep import SweepResult, sweep, sweep_many
@@ -45,13 +47,15 @@ def _force_pool(monkeypatch, cpus: int = 2) -> None:
 
 
 class TestShardPartitionIdentity:
-    """Striping the grid across workers leaves reports and failures as the
+    """Fanning workloads across workers leaves reports and failures as the
     serial run has them."""
 
     def test_parallel_run_matches_serial_including_failures(self, monkeypatch):
         _force_pool(monkeypatch)
-        serial = sweep("eightq", **FAILING_AXES)
-        parallel = sweep("eightq", jobs=2, **FAILING_AXES)
+        workloads = ("eightq", "lloop01")
+        serial = sweep_many(workloads, **FAILING_AXES)
+        parallel = sweep_many(workloads, jobs=2, **FAILING_AXES)
+        assert len(serial.failures) == 4
         assert parallel.reports == serial.reports
         assert parallel.failures == serial.failures
 
@@ -62,72 +66,6 @@ class TestShardPartitionIdentity:
         failure = result.failures[0]
         assert failure.detail == "study build (4 grid points)"
         assert failure.attempts == 1
-
-
-# ----------------------------------------------------------------------
-# Single-flight: a cold parallel sweep builds each artifact exactly once
-# ----------------------------------------------------------------------
-
-
-class TestSingleFlightBuilds:
-    def _cold_sweep_builds(self, monkeypatch, cache_dir, jobs):
-        monkeypatch.setenv(artifacts.ENV_CACHE_DIR, str(cache_dir))
-        artifacts.clear()
-        before = METRICS.counter("artifacts.build")
-        result = sweep("eightq", jobs=jobs, **AXES)
-        assert result.ok and len(result) == 4
-        return METRICS.counter("artifacts.build") - before
-
-    def test_parallel_cold_cache_builds_each_artifact_once(
-        self, tmp_path, monkeypatch
-    ):
-        """The thundering-herd regression test.
-
-        Before the single-flight pre-warm, a cold ``jobs=N`` sweep
-        re-simulated the study in every worker: N trace builds, N image
-        builds... all for identical cache keys.  Now the build counter
-        must equal the number of distinct artifacts on disk.
-        """
-        _force_pool(monkeypatch)
-        # Prime the in-memory LRUs (workload load, standard code, trace
-        # memo) into a throwaway cache dir so the parallel and serial
-        # cold-disk runs below start from identical in-memory state and
-        # their build counts are comparable.
-        self._cold_sweep_builds(monkeypatch, tmp_path / "prime", None)
-        parallel_dir = tmp_path / "parallel"
-        parallel_builds = self._cold_sweep_builds(monkeypatch, parallel_dir, 2)
-        # "superops" is excluded: it is an incremental accumulate-and-store
-        # cache the executor writes outside get_or_compute (no build count).
-        stored = len([
-            path
-            for path in parallel_dir.rglob("*.pkl")
-            if path.parent.name != "superops"
-        ])
-        assert stored > 0
-        assert parallel_builds == stored
-
-        # And the parallel cold run does no more building than a serial
-        # cold run of the same sweep into a fresh cache.
-        serial_builds = self._cold_sweep_builds(
-            monkeypatch, tmp_path / "serial", None
-        )
-        assert parallel_builds == serial_builds
-
-    def test_parallel_warm_cache_builds_nothing(self, tmp_path, monkeypatch):
-        _force_pool(monkeypatch)
-        cache_dir = tmp_path / "warm"
-        self._cold_sweep_builds(monkeypatch, cache_dir, 2)
-        artifacts.clear()  # drop the in-memory study, keep the disk cache
-        before = METRICS.counter("artifacts.build")
-        result = sweep("eightq", jobs=2, **AXES)
-        assert result.ok
-        assert METRICS.counter("artifacts.build") == before
-
-    def test_parallel_reports_match_serial(self, monkeypatch):
-        _force_pool(monkeypatch)
-        serial = sweep("eightq", **AXES)
-        parallel = sweep("eightq", jobs=2, **AXES)
-        assert parallel == serial
 
 
 # ----------------------------------------------------------------------
@@ -161,14 +99,14 @@ class TestEffectiveJobs:
 
     def test_sweep_records_workers_gauge(self, monkeypatch):
         _force_pool(monkeypatch)
-        sweep("eightq", jobs=2, **AXES)
+        sweep_many(("eightq", "lloop01"), jobs=2, **AXES)
         assert METRICS.gauge_value("sweep.workers") == 2
-        sweep("eightq", jobs=1, **AXES)
+        sweep_many(("eightq", "lloop01"), jobs=1, **AXES)
         assert METRICS.gauge_value("sweep.workers") == 1
 
     def test_serial_sweep_records_no_gauge(self):
         METRICS.reset()
-        sweep("eightq", **AXES)
+        sweep_many(("eightq",), **AXES)
         assert "sweep.workers" not in METRICS.snapshot()["gauges"]
 
 

@@ -61,13 +61,13 @@ class TestSweep:
         assert {report.program for report in result.reports} == {"eightq", "lloop01"}
 
     def test_parallel_sweep_matches_serial(self, result):
-        parallel = sweep(
-            "eightq",
+        parallel = sweep_many(
+            ("eightq", "lloop01"),
             cache_sizes=(256, 512),
             memories=("eprom", "burst_eprom"),
             jobs=2,
         )
-        assert parallel.reports == result.reports
+        assert parallel.filter(program="eightq").reports == result.reports
 
     def test_parallel_sweep_many_matches_serial(self):
         axes = dict(cache_sizes=(256,), memories=("eprom", "burst_eprom"))
